@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench check-bench figures all-experiments clean
+.PHONY: install test lint bench check-bench perfbench figures all-experiments clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -66,6 +66,13 @@ check-bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli compare BENCH_PR9.json /tmp/BENCH_PR9_candidate.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_pr10_service.py /tmp/BENCH_PR10_candidate.json
 	PYTHONPATH=src $(PYTHON) -m repro.cli compare BENCH_PR10.json /tmp/BENCH_PR10_candidate.json
+
+# Repo benchmark by hand (no CI job: timings on shared runners are
+# noise).  `make perfbench SEED=7` runs both gated workloads.
+SEED ?= 1
+perfbench:
+	python3 perfbench/run.py --workload lan-paper --seed $(SEED) --seconds 12 --trace 0
+	python3 perfbench/run.py --workload ops-fleet --seed $(SEED) --seconds 12 --trace 0
 
 figures:
 	$(PYTHON) -m repro.cli all

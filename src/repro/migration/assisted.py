@@ -37,7 +37,7 @@ class AssistedMigrator(PrecopyMigrator):
     name = "assisted"
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 1
+    snapshot_version = 2  # v2: precopy v5 integer cost tallies
 
     def __init__(
         self,
@@ -99,7 +99,7 @@ class AssistedMigrator(PrecopyMigrator):
 
     # -- bitmap consultation --------------------------------------------------------------
 
-    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray:
+    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray | None:
         return self.lkm.transfer_mask(pfns)
 
     def _reinject_skipped(self, pfns: np.ndarray) -> None:

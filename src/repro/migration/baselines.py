@@ -98,9 +98,13 @@ class CompressedPrecopyMigrator(PrecopyMigrator):
     def _page_payload_bytes(self) -> int:
         return int(PAGE_SIZE * self.compression_ratio)
 
-    def _cpu_cost_sent(self, n_pages: int) -> float:
+    def _count_sent(self, n_pages: int) -> None:
+        # Its own compressor stands in for the rescue one.
+        self._pages_pushed += n_pages
+
+    def _send_cpu_seconds(self) -> float:
         # Compressing dominates the daemon's CPU bill.
-        return n_pages * PAGE_SIZE * (
+        return self._pages_pushed * PAGE_SIZE * (
             CPU_S_PER_BYTE_SENT + self.CPU_S_PER_BYTE_COMPRESSED
         )
 
@@ -136,7 +140,7 @@ class FreePageSkipMigrator(PrecopyMigrator):
             self._free_mask[free] = True
         super()._begin_iteration(now)
 
-    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray:
+    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray | None:
         return ~self._free_mask[pfns]
 
     def _verify(self) -> None:

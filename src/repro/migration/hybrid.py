@@ -68,19 +68,25 @@ class CompressionHintMap:
         """Two bits per page, as the paper's extension sketches."""
         return (self.n_pages * 2 + 7) // 8
 
+    def method_counts(self, pfns: np.ndarray) -> np.ndarray:
+        """Pages per :class:`CompressionMethod` in *pfns* (index = method)."""
+        return np.bincount(self._hints[pfns], minlength=len(CompressionMethod))
+
     def payload_and_cpu(self, pfns: np.ndarray) -> tuple[int, float]:
         """(compressed payload bytes, compression CPU seconds) for a batch."""
-        if pfns.size == 0:
-            return 0, 0.0
-        methods = self._hints[pfns]
-        payload = 0.0
-        cpu = 0.0
-        for method, (ratio, cost) in METHOD_COSTS.items():
-            count = int((methods == int(method)).sum())
-            if count:
-                payload += count * PAGE_SIZE * ratio
-                cpu += count * PAGE_SIZE * cost
-        return int(payload), cpu
+        return _payload_and_cpu(self.method_counts(pfns))
+
+
+def _payload_and_cpu(counts) -> tuple[int, float]:
+    """(compressed payload bytes, compression CPU seconds) for *counts*
+    pages per method."""
+    payload = 0.0
+    cpu = 0.0
+    for method, (ratio, cost) in METHOD_COSTS.items():
+        if counts[method]:
+            payload += int(counts[method]) * PAGE_SIZE * ratio
+            cpu += int(counts[method]) * PAGE_SIZE * cost
+    return int(payload), cpu
 
 
 def classify_java_vm(
@@ -108,7 +114,7 @@ class JavmmCompressedMigrator(JavmmMigrator):
     name = "javmm+compress"
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 1
+    snapshot_version = 2  # v2: integer per-method page tallies
 
     def __init__(
         self,
@@ -125,22 +131,30 @@ class JavmmCompressedMigrator(JavmmMigrator):
         self.hints = hints or CompressionHintMap(domain.n_pages)
         if jvms:
             classify_java_vm(self.hints, jvms)
-        self.compression_cpu_seconds = 0.0
+        #: integer pages compressed per method; CPU seconds are derived
+        self._method_pages = np.zeros(len(CompressionMethod), dtype=np.int64)
         self._compress_budget = 0.0
-        self._batch_cpu = 0.0
 
     # -- per-page payload ---------------------------------------------------------
 
-    def _payload_for(self, pfns: np.ndarray) -> int:
-        payload, cpu = self.hints.payload_and_cpu(pfns)
-        self._batch_cpu = cpu
-        return payload
+    @property
+    def compression_cpu_seconds(self) -> float:
+        return _payload_and_cpu(self._method_pages)[1]
 
-    def _cpu_cost_sent(self, n_pages: int) -> float:
-        base = n_pages * PAGE_SIZE * CPU_S_PER_BYTE_SENT
-        cpu, self._batch_cpu = self._batch_cpu, 0.0
-        self.compression_cpu_seconds += cpu
-        return base + cpu
+    def _payload_for(self, pfns: np.ndarray) -> int:
+        counts = self.hints.method_counts(pfns)
+        self._method_pages += counts
+        return _payload_and_cpu(counts)[0]
+
+    def _count_sent(self, n_pages: int) -> None:
+        # Its own compressor stands in for the rescue one.
+        self._pages_pushed += n_pages
+
+    def _send_cpu_seconds(self) -> float:
+        return (
+            self._pages_pushed * PAGE_SIZE * CPU_S_PER_BYTE_SENT
+            + self.compression_cpu_seconds
+        )
 
     # -- compressor throughput cap -----------------------------------------------------
 

@@ -52,7 +52,13 @@ DEFAULT_RESUME_DELAY_S = 0.17
 #: deliberately the same price the compression baseline pays.
 CPU_S_PER_BYTE_RESCUE_COMPRESSED = 12.0 / GIB
 
-_CHUNK = 16384  # pages examined per vectorized batch
+#: Scan-window bounds, in pages.  A budget round first tests ``limit +
+#: 1`` pages (clamped to these bounds) and doubles the window only while
+#: the pages tested so far hold at most ``limit`` sendable ones.  The
+#: bounds decide how many pages one numpy call looks at, never what a
+#: round sends: the batch ends at the same page whatever the windows.
+_SCAN_MIN = 1
+_SCAN_MAX = 16384
 
 
 def _sorted_ledger(ledger: dict) -> dict:
@@ -77,7 +83,7 @@ class PrecopyMigrator(Actor):
     priority = 10
     #: checkpoint-protocol layout version (see repro.sim.actor);
     #: bump when a state field is added/renamed/repurposed
-    snapshot_version = 4  # v4: pages_remaining on iteration records
+    snapshot_version = 5  # v5: integer cost tallies replace float sums
     name = "xen-precopy"
 
     def __init__(
@@ -166,6 +172,14 @@ class PrecopyMigrator(Actor):
         self._iter_retrans_base = 0
         self._iter_gc_base: float | None = None
         self._conv_state = None
+        #: integer cost tallies, converted to the report's seconds
+        #: fields only by :meth:`_settle_report` (summation order can
+        #: then never change them)
+        self._pages_scanned = 0
+        self._pages_pushed = 0
+        self._rescue_bytes = 0
+        self._floor_ticks = 0
+        self._floor_dt = 0.0
 
     @property
     def _track(self) -> str:
@@ -266,6 +280,7 @@ class PrecopyMigrator(Actor):
         self.report.aborted = True
         self.report.abort_reason = reason
         self.report.abort_phase = self.phase.value
+        self._settle_report()
         self._log(now, f"migration aborted during {self.phase.value}: {reason}")
         # Feed the analysis pipeline the partial in-flight iteration: a
         # stall (e.g. a severed link) never *completes* an iteration, so
@@ -401,7 +416,8 @@ class PrecopyMigrator(Actor):
                     # links) is unpaid: idle wall time, tallied
                     # tick-granular as an overlay.  WAITING_APPS idling
                     # is excluded — that time is the GC-wait bucket.
-                    self.report.floor_wait_s += dt
+                    self._floor_ticks += 1
+                    self._floor_dt = dt
                 break  # per-iteration overhead floor not yet paid
             if not self._end_iteration(now):
                 break
@@ -433,21 +449,39 @@ class PrecopyMigrator(Actor):
     def _on_migration_started(self, now: float) -> None:
         """Subclass hook: runs once when migration begins."""
 
-    def _cpu_cost_sent(self, n_pages: int) -> float:
-        """Daemon CPU seconds to prepare and push *n_pages*."""
-        cost = n_pages * PAGE_SIZE * CPU_S_PER_BYTE_SENT
+    def _count_sent(self, n_pages: int) -> None:
+        """Tally *n_pages* pushed (integer counters; see
+        :meth:`_settle_report`)."""
+        self._pages_pushed += n_pages
         if self.wire_compression is not None:
-            rescue = n_pages * PAGE_SIZE * self.wire_compression_cpu_s_per_byte
             # Tallied here (not in _pump) so the attribution overlay is
-            # definitionally the same number cpu_seconds absorbed, and
-            # baselines that override this hook neither pay nor log it.
-            self.report.rescue_compress_cpu_s += rescue
-            cost += rescue
-        return cost
+            # definitionally part of cpu_seconds, and baselines that
+            # override this hook neither pay nor log it.
+            self._rescue_bytes += n_pages * PAGE_SIZE
 
-    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray:
-        """Boolean mask of pages the daemon may transfer (all, here)."""
-        return np.ones(len(pfns), dtype=bool)
+    @property
+    def _rescue_cpu_seconds(self) -> float:
+        return self._rescue_bytes * self.wire_compression_cpu_s_per_byte
+
+    def _send_cpu_seconds(self) -> float:
+        """Daemon CPU seconds to prepare and push every page sent."""
+        return (
+            self._pages_pushed * PAGE_SIZE * CPU_S_PER_BYTE_SENT
+            + self._rescue_cpu_seconds
+        )
+
+    def _settle_report(self) -> None:
+        """Convert the integer cost tallies into the report's seconds."""
+        self.report.cpu_seconds = (
+            self._pages_scanned * CPU_S_PER_PAGE_SCANNED + self._send_cpu_seconds()
+        )
+        self.report.rescue_compress_cpu_s = self._rescue_cpu_seconds
+        self.report.floor_wait_s = self._floor_ticks * self._floor_dt
+
+    def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray | None:
+        """Boolean mask of pages the daemon may transfer; ``None`` means
+        every page (the vanilla daemon consults no bitmap)."""
+        return None
 
     def _reinject_skipped(self, pfns: np.ndarray) -> None:
         """Subclass hook: keep bitmap-skipped dirty pages visible."""
@@ -538,87 +572,103 @@ class PrecopyMigrator(Actor):
         return "redirty"
 
     def _pump(self, now: float) -> None:
-        """Move pages until the byte budget or the pending set runs out."""
+        """Move pages until the byte budget or the pending set runs out.
+
+        One budget round sends one batch: the longest prefix of the
+        pending pages that holds at most ``budget // wire_cost``
+        sendable pages.  Skipped pages cost no budget, so the round
+        also examines every skipped page before the first sendable page
+        past the budget.
+        """
         wire_cost = self._page_wire_cost()
-        dirty_log = self.domain.dirty_log
-        dest = self.dest_domain
-        assert dest is not None
         while self._cursor < len(self._pending) and self._budget >= wire_cost:
-            chunk = self._pending[self._cursor : self._cursor + _CHUNK]
-            allowed = self._transfer_allowed(chunk)
-            re_dirtied = dirty_log.dirty_mask(chunk)
-            send_mask = allowed & ~re_dirtied
-            limit = int(self._budget // wire_cost)
-            cum = np.cumsum(send_mask)
-            if cum.size and cum[-1] > limit:
-                # Budget ends inside this chunk: take the longest prefix
-                # whose send count fits.
-                prefix_len = int(np.searchsorted(cum, limit, side="right"))
-                chunk = chunk[:prefix_len]
-                allowed = allowed[:prefix_len]
-                re_dirtied = re_dirtied[:prefix_len]
-                send_mask = send_mask[:prefix_len]
-            if chunk.size == 0:
+            end, allowed, send = self._scan(int(self._budget // wire_cost))
+            self._send_round(self._pending[self._cursor : end], allowed, send,
+                             int(wire_cost))
+            self._cursor = end
+
+    def _scan(self, limit: int) -> tuple[int, np.ndarray | None, np.ndarray]:
+        """Find where this round's batch ends: at the ``limit + 1``-th
+        sendable page from the cursor, or at the end of the pending set.
+
+        Returns ``(end, allowed, send)``: the transfer mask (``None``
+        when every page may go) and the send mask of
+        ``pending[cursor:end]``.  Windows start at ``limit + 1`` pages
+        and double, so the pages tested stay within twice the pages
+        consumed plus ``limit + 1``.
+        """
+        pending = self._pending
+        dirty_mask = self.domain.dirty_log.dirty_mask
+        pos = self._cursor
+        window = min(max(limit + 1, _SCAN_MIN), _SCAN_MAX)
+        found = 0
+        allowed_parts: list[np.ndarray | None] = []
+        send_parts: list[np.ndarray] = []
+        while pos < len(pending):
+            seg = pending[pos : pos + window]
+            allowed = self._transfer_allowed(seg)
+            send = ~dirty_mask(seg)
+            if allowed is not None:
+                send &= allowed
+            k = int(np.count_nonzero(send))
+            if found + k > limit:
+                cut = int(send.nonzero()[0][limit - found])
+                allowed_parts.append(None if allowed is None else allowed[:cut])
+                send_parts.append(send[:cut])
+                pos += cut
                 break
-            to_send = chunk[send_mask]
-            skipped_bitmap = chunk[~allowed]
-            skipped_dirty = chunk[allowed & re_dirtied]
-            if to_send.size:
-                dest.install_pages(to_send, self.domain.read_pages(to_send))
-                payload = self._payload_for(to_send)
-                self._budget -= payload + to_send.size * self.link.page_overhead
-                category = self._wire_category()
-                wire = self.link.account_pages(
-                    int(to_send.size), payload_bytes=payload, category=category
-                )
-                self._iter_wire += wire
-                self.report.account_wire(
-                    wire, self.link.last_retransmit_bytes, category
-                )
-                full = int(to_send.size) * PAGE_SIZE
-                if payload < full:
-                    # Any payload below raw page bytes is compression at
-                    # work — the baselines' models and the rescue
-                    # compressor alike.
-                    self.report.account_saved(full - payload, "compression")
-                    if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes", full - payload,
-                            category="compression",
-                        )
-                self._iter_sent += int(to_send.size)
-                self.report.cpu_seconds += self._cpu_cost_sent(int(to_send.size))
-            if skipped_bitmap.size and self._iter_index > 1:
-                self._reinject_skipped(skipped_bitmap)
-            if skipped_bitmap.size or skipped_dirty.size:
-                # Savings are priced at what each page would have cost
-                # on the wire right now (pre-loss: the skipped page
-                # would also have skipped its retransmissions).
-                page_cost = int(self._page_wire_cost())
-                if skipped_bitmap.size:
-                    self.report.account_saved(
-                        int(skipped_bitmap.size) * page_cost, "skip_bitmap"
-                    )
-                    if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes",
-                            int(skipped_bitmap.size) * page_cost,
-                            category="skip_bitmap",
-                        )
-                if skipped_dirty.size:
-                    self.report.account_saved(
-                        int(skipped_dirty.size) * page_cost, "skip_redirty"
-                    )
-                    if self.probe.enabled:
-                        self.probe.count(
-                            "net.saved_bytes",
-                            int(skipped_dirty.size) * page_cost,
-                            category="skip_redirty",
-                        )
-            self._iter_skip_bitmap += int(skipped_bitmap.size)
-            self._iter_skip_dirty += int(skipped_dirty.size)
-            self.report.cpu_seconds += chunk.size * CPU_S_PER_PAGE_SCANNED
-            self._cursor += int(chunk.size)
+            allowed_parts.append(allowed)
+            send_parts.append(send)
+            found += k
+            pos += seg.size
+            window = min(2 * window, _SCAN_MAX)
+        if len(send_parts) == 1:
+            return pos, allowed_parts[0], send_parts[0]
+        allowed = None if allowed_parts[0] is None else np.concatenate(allowed_parts)
+        return pos, allowed, np.concatenate(send_parts)
+
+    def _send_round(self, batch: np.ndarray, allowed: np.ndarray | None,
+                    send: np.ndarray, page_cost: int) -> None:
+        """Send one budget round's batch and account for it once."""
+        to_send = batch[send]
+        n_send = int(to_send.size)
+        n_bitmap = 0 if allowed is None else int(batch.size - np.count_nonzero(allowed))
+        n_redirty = int(batch.size) - n_send - n_bitmap
+        compressed = 0
+        if n_send:
+            dest = self.dest_domain
+            assert dest is not None
+            dest.install_pages(to_send, self.domain.read_pages(to_send))
+            payload = self._payload_for(to_send)
+            self._budget -= payload + n_send * self.link.page_overhead
+            category = self._wire_category()
+            wire = self.link.account_pages(
+                n_send, payload_bytes=payload, category=category
+            )
+            self._iter_wire += wire
+            self.report.account_wire(wire, self.link.last_retransmit_bytes, category)
+            self._iter_sent += n_send
+            self._count_sent(n_send)
+            # Any payload below raw page bytes is compression at work —
+            # the baselines' models and the rescue compressor alike.
+            compressed = n_send * PAGE_SIZE - payload
+        if n_bitmap and self._iter_index > 1:
+            self._reinject_skipped(batch[~allowed])
+        self._iter_skip_bitmap += n_bitmap
+        self._iter_skip_dirty += n_redirty
+        self._pages_scanned += int(batch.size)
+        # Skip savings are priced at what each page would have cost on
+        # the wire right now (pre-loss: the skipped page would also have
+        # skipped its retransmissions).
+        for category, n_bytes in (
+            ("compression", compressed),
+            ("skip_bitmap", n_bitmap * page_cost),
+            ("skip_redirty", n_redirty * page_cost),
+        ):
+            if n_bytes:
+                self.report.account_saved(n_bytes, category)
+                if self.probe.enabled:
+                    self.probe.count("net.saved_bytes", n_bytes, category=category)
 
     def _record_iteration(self, now: float) -> None:
         """Write the iteration record; consecutive waiting iterations
@@ -872,6 +922,7 @@ class PrecopyMigrator(Actor):
         return self._iter_start
 
     def _finish(self, now: float) -> None:
+        self._settle_report()
         self._verify()
         self.domain.dirty_log.disable()
         self.domain.unpause(now)
