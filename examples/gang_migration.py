@@ -34,7 +34,7 @@ def evacuate(engine_name: str) -> None:
             sim.add(actor)
         migrator = make_migrator(engine_name, vm, link)
         sim.add(migrator)
-        vm.jvm.migration_load = migrator.load_fraction
+        vm.jvm.migration_load = migrator
         migrators.append(migrator)
 
     sim.run_until(15.0)

@@ -91,7 +91,7 @@ class HostEvacuation:
             decision = choose_engine_live(vm, self.warmup_s, link=self.link)
             migrator = make_migrator(decision.engine, vm, self.link)
             engine.add(migrator)
-            vm.jvm.migration_load = migrator.load_fraction
+            vm.jvm.migration_load = migrator
             migrators.append((vm, decision.engine, migrator))
 
         start = engine.now

@@ -104,7 +104,7 @@ class MigrationExperiment:
             return engine, vm, None
         migrator = make_migrator(self.engine, vm, self._link, **self.migrator_kwargs)
         engine.add(migrator)
-        vm.jvm.migration_load = migrator.load_fraction
+        vm.jvm.migration_load = migrator
         return engine, vm, migrator
 
     def config_fingerprint(self) -> dict:
@@ -240,7 +240,7 @@ class ExperimentRun:
                     **exp.migrator_kwargs,
                 )
                 self.engine.add(self.migrator)
-                self.vm.jvm.migration_load = self.migrator.load_fraction
+                self.vm.jvm.migration_load = self.migrator
             self.young_at_migration = self.vm.heap.young_committed
             self.old_at_migration = self.vm.heap.old_used
             self.migration_start = self.engine.now

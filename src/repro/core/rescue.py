@@ -88,12 +88,17 @@ class RescueController(Actor):
     # -- actor -------------------------------------------------------------------------
 
     def next_event(self, now: float) -> float | None:
-        if self.migrator is None or self.migrator.finished:
+        if self.migrator is None or self.migrator.finished or self.monitor is None:
             return math.inf
-        return None  # reads per-iteration monitor state every tick
+        if self.monitor.diagnosis.n_iterations > self._seen:
+            return now + self.sim_dt if self.sim_dt else None
+        # The monitor only learns at the daemon's iteration ends, which
+        # are acting ticks (always ordinary steps); this controller
+        # steps right after the daemon and digests them there.
+        return math.inf
 
     def step_many(self, start_tick: int, ticks: int, dt: float) -> None:
-        pass  # only reachable once the attempt is finished
+        pass  # quiet ticks bring no new observation
 
     def step(self, now: float, dt: float) -> None:
         migrator = self.migrator

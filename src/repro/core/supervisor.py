@@ -417,7 +417,7 @@ class MigrationSupervisor:
                 )
                 self._rescuer.probe = probe
                 self.engine.add(self._rescuer)
-            self.vm.jvm.migration_load = migrator.load_fraction
+            self.vm.jvm.migration_load = migrator
             if self.injector is not None:
                 self.injector.bind_migrator(migrator)
             self._span_attempt = probe.begin(

@@ -122,7 +122,7 @@ def no_enforced_gc(seed: int = 20150421) -> NoGcResult:
     vm.register(engine)
     migrator = make_migrator("javmm", vm, Link())
     engine.add(migrator)
-    vm.jvm.migration_load = migrator.load_fraction
+    vm.jvm.migration_load = migrator
 
     engine.run_until(15.0)
     migrator.start(engine.now)
@@ -251,7 +251,7 @@ def straggler_timeout(timeout_s: float = 0.5, seed: int = 20150421) -> Straggler
     vm.register(engine)
     migrator = make_migrator("javmm", vm, Link())
     engine.add(migrator)
-    vm.jvm.migration_load = migrator.load_fraction
+    vm.jvm.migration_load = migrator
     engine.run_until(15.0)
     migrator.start(engine.now)
     engine.run_while(lambda: not migrator.done, timeout=600)

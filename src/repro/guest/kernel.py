@@ -15,6 +15,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.guest.netlink import NetlinkBus
 from repro.guest.process import Process
+from repro.mem.address import ring_spans
 from repro.mem.constants import PAGE_SIZE, bytes_to_pages
 from repro.mem.frame_alloc import FrameAllocator
 from repro.sim.actor import Actor
@@ -50,6 +51,7 @@ class GuestKernel(Actor):
         self._processes: dict[int, Process] = {}
         self._next_pid = 100
         self._os_cursor = 0
+        domain.add_writer(self)
 
     # -- frames --------------------------------------------------------------------
 
@@ -90,46 +92,47 @@ class GuestKernel(Actor):
 
     def next_event(self, now: float) -> float:
         # Housekeeping dirtying is self-contained: nothing else reads it
-        # between its own acting ticks, and the actors that do consume
-        # dirty state (migration daemons) force fixed stepping while
-        # active.  So the kernel never needs to bound a leap.
+        # between its own acting ticks.  A migration daemon that leaps
+        # through a pre-copy race reads it back through tick-stamped
+        # dirty-log marks and bounds it with :meth:`page_write_bound`,
+        # so the kernel never needs to bound a leap.
         return math.inf
+
+    def page_write_bound(self, dt: float) -> int:
+        """Most page-dirty events one housekeeping tick issues."""
+        return max(int(self.os_dirty_bytes_per_s * dt / PAGE_SIZE), 1)
 
     def step_many(self, start_tick: int, ticks: int, dt: float) -> None:
         """Aggregate *ticks* housekeeping steps into one batched write.
 
         The per-tick cursor walk is replayed with vectorized interval
         arithmetic; page version counts and dirty-log marks are exactly
-        those of the per-tick :meth:`step` sequence.
+        those of the per-tick :meth:`step` sequence, and every write is
+        stamped with its tick.
         """
         if self.domain.paused:
             return
         reserved = self.reserved_pages
+        tick_ids = start_tick + 1 + np.arange(ticks, dtype=np.int64)
         n_pages = int(self.os_dirty_bytes_per_s * dt / PAGE_SIZE)
         if n_pages >= 1:
             if 2 * n_pages >= reserved:
                 # The wrap-clamp path; rare enough to replay per tick.
-                for i in range(1, ticks + 1):
-                    self.step((start_tick + i) * dt, dt)
+                try:
+                    for tick in tick_ids.tolist():
+                        self.domain.write_tick = tick
+                        self.step(tick * dt, dt)
+                finally:
+                    self.domain.write_tick = None
                 return
-            start = (
-                self._os_cursor + n_pages * np.arange(ticks, dtype=np.int64)
-            ) % reserved
-            end = start + n_pages
-            wrapped = end - reserved
-            has_wrap = wrapped > 0
-            starts = np.concatenate(
-                [start, np.zeros(int(has_wrap.sum()), dtype=np.int64)]
+            starts, lens, stamps, self._os_cursor = ring_spans(
+                self._os_cursor, reserved, np.full(ticks, n_pages, dtype=np.int64), tick_ids
             )
-            lens = np.concatenate(
-                [np.minimum(end, reserved) - start, wrapped[has_wrap]]
-            )
-            self.domain.touch_pfn_intervals(starts, lens)
-            self._os_cursor = int((self._os_cursor + n_pages * ticks) % reserved)
+            self.domain.touch_pfn_intervals(starts, lens, stamps)
             return
         # Sub-page rate: find the cadence ticks, one page each.
         period = PAGE_SIZE / max(self.os_dirty_bytes_per_s, 1e-9)
-        nows = (start_tick + 1 + np.arange(ticks, dtype=np.int64)) * dt
+        nows = tick_ids * dt
         fires = (nows / period).astype(np.int64) != ((nows - dt) / period).astype(
             np.int64
         )
@@ -137,7 +140,9 @@ class GuestKernel(Actor):
         if n_fired == 0:
             return
         starts = (self._os_cursor + np.arange(n_fired, dtype=np.int64)) % reserved
-        self.domain.touch_pfn_intervals(starts, np.ones(n_fired, dtype=np.int64))
+        self.domain.touch_pfn_intervals(
+            starts, np.ones(n_fired, dtype=np.int64), tick_ids[fires]
+        )
         self._os_cursor = int((self._os_cursor + n_fired) % reserved)
 
     def step(self, now: float, dt: float) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AddressError
-from repro.mem.address import VARange, page_span_outer
+from repro.mem.address import VARange, cover, page_span_outer
 from repro.mem.constants import PAGE_SHIFT, PAGE_SIZE, bytes_to_pages
 from repro.mem.page_table import PageTable
 
@@ -92,47 +92,58 @@ class Process:
 
         Returns the PFNs dirtied so callers can assert on them.
         """
-        start_vpn, end_vpn = page_span_outer(area)
-        pfns = self.page_table.walk(
-            VARange(start_vpn * PAGE_SIZE, end_vpn * PAGE_SIZE), strict=True
-        )
+        pfns = self.page_table.walk(page_span_outer(area), strict=True)
         self._kernel.domain.touch_pfns(pfns)
         return pfns
 
-    def write_intervals(self, base_va: int, starts: np.ndarray, lens: np.ndarray) -> None:
-        """Write many byte intervals ``[base_va + s, base_va + s + n)`` at once.
+    def write_runs(self, runs: list[tuple]) -> None:
+        """Write many byte intervals at once, as one batched domain write.
 
-        Exactly equivalent to one :meth:`write_range` call per interval
-        (empty intervals skipped): every page overlapping an interval is
-        bumped once *per covering interval*, so boundary pages shared by
-        adjacent intervals accumulate the same version counts as the
-        per-call sequence.  All intervals must lie in mapped memory.
+        Each run is ``(base_va, starts, lens, ticks)``: the intervals
+        ``[base_va + s, base_va + s + n)``, all in mapped memory, runs
+        over disjoint memory.  Exactly equivalent to one
+        :meth:`write_range` call per interval (empty intervals skipped):
+        every page overlapping an interval is bumped once *per covering
+        interval*, so boundary pages shared by adjacent intervals
+        accumulate the same version counts as the per-call sequence.
+
+        ``ticks`` (or ``None``) gives the simulation tick each
+        interval's write belongs to; the domain's dirty log then stamps
+        every page with the earliest tick that wrote it (see
+        DirtyLog.mark_stamped).
         """
-        keep = lens > 0
-        if not keep.all():
-            starts, lens = starts[keep], lens[keep]
-        if starts.size == 0:
+        domain = self._kernel.domain
+        stamping = domain.dirty_log.enabled
+        parts = []
+        for base_va, starts, lens, ticks in runs:
+            keep = lens > 0
+            if not keep.all():
+                starts, lens = starts[keep], lens[keep]
+                if ticks is not None:
+                    ticks = ticks[keep]
+            if starts.size == 0:
+                continue
+            va_starts = base_va + starts
+            first_vpn = va_starts >> PAGE_SHIFT
+            last_vpn = (va_starts + lens + PAGE_SIZE - 1) >> PAGE_SHIFT  # exclusive
+            lo, counts, earliest = cover(first_vpn, last_vpn, ticks if stamping else None)
+            pfns = self.page_table.walk((lo, lo + counts.size), strict=True)
+            parts.append((pfns, counts, earliest))
+        if not parts:
             return
-        va_starts = base_va + starts
-        first_vpn = va_starts >> PAGE_SHIFT
-        last_vpn = (va_starts + lens + PAGE_SIZE - 1) >> PAGE_SHIFT  # exclusive
-        lo = int(first_vpn.min())
-        hi = int(last_vpn.max())
-        diff = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.add.at(diff, first_vpn - lo, 1)
-        np.add.at(diff, last_vpn - lo, -1)
-        counts = np.cumsum(diff[:-1])
-        pfns = self.page_table.walk(
-            VARange(lo * PAGE_SIZE, hi * PAGE_SIZE), strict=True
+        if len(parts) == 1:
+            domain.touch_pfns_counted(*parts[0])
+            return
+        pfns, counts, earliest = zip(*parts)
+        domain.touch_pfns_counted(
+            np.concatenate(pfns),
+            np.concatenate(counts),
+            None if earliest[0] is None else np.concatenate(earliest),
         )
-        self._kernel.domain.touch_pfns_counted(pfns, counts)
 
     def write_pfns_of(self, area: VARange) -> np.ndarray:
         """PFNs :meth:`write_range` would touch, without writing."""
-        start_vpn, end_vpn = page_span_outer(area)
-        return self.page_table.walk(
-            VARange(start_vpn * PAGE_SIZE, end_vpn * PAGE_SIZE), strict=True
-        )
+        return self.page_table.walk(page_span_outer(area), strict=True)
 
     def exit(self) -> None:
         """Terminate: release the whole address space."""

@@ -176,24 +176,22 @@ class GenerationalHeap:
         self.counters.allocated_bytes += take
         return take
 
-    def allocate_run(self, nbytes: int, ticks: int) -> None:
-        """Bump-allocate *nbytes* per tick for *ticks* ticks at once.
+    def allocate_run(self, sizes: np.ndarray, ticks: np.ndarray | None = None) -> tuple:
+        """Bump-allocate ``sizes[i]`` bytes on each of a run of ticks at once.
 
-        Exactly equivalent to ``ticks`` back-to-back full-size
-        :meth:`allocate` calls; the caller (the JVM's event-kernel fast
-        path) guarantees Eden has room for all of them, so no call would
-        have come up short.
+        Exactly equivalent to back-to-back :meth:`allocate` calls of
+        those sizes once the returned ``(base_va, starts, lens, ticks)``
+        run is written (:meth:`Process.write_runs`); the caller (the
+        JVM's event-kernel fast path) guarantees Eden has room for all
+        of them, so no call would have come up short.
         """
-        total = nbytes * ticks
+        total = int(sizes.sum())
         if total > self.eden_capacity - self.eden_used:
             raise HeapError("allocate_run would overflow Eden")
-        eden = self.layout.eden
-        starts = self.eden_used + nbytes * np.arange(ticks, dtype=np.int64)
-        self.process.write_intervals(
-            eden.start, starts, np.full(ticks, nbytes, dtype=np.int64)
-        )
+        starts = self.eden_used + np.cumsum(sizes) - sizes
         self.eden_used += total
         self.counters.allocated_bytes += total
+        return (self.layout.eden.start, starts, sizes, ticks)
 
     # -- collection ---------------------------------------------------------------------
 

@@ -17,11 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.guest.process import Process
 from repro.jvm.gc_model import MinorGcStats
 from repro.jvm.heap import GenerationalHeap
-from repro.mem.address import VARange
+from repro.mem.address import VARange, ring_spans
+from repro.mem.constants import PAGE_SIZE
 from repro.sim.actor import Actor
 from repro.telemetry.probe import NULL_PROBE
 from repro.units import MiB
@@ -50,6 +51,23 @@ def _ticks_to_cross(timer: float, dt: float, cap: int = 1_000_000) -> int | None
     return ticks
 
 
+class _UnplannedLoad:
+    """A bare ``() -> float`` load callable: no plan of future ticks.
+
+    The JVM treats its value as constant across a leap and abstains
+    while it is nonzero (see :meth:`HotSpotJVM.next_event`).
+    """
+
+    def __init__(self, fn: Callable[[], float]) -> None:
+        self.load_fraction = fn
+
+    def load_plan(self, ticks: int) -> np.ndarray:
+        return np.full(ticks, self.load_fraction())
+
+    def load_floor(self) -> float:
+        return self.load_fraction()
+
+
 class JvmPhase(enum.Enum):
     RUNNING = "running"
     TTS = "time-to-safepoint"
@@ -63,7 +81,7 @@ class HotSpotJVM(Actor):
     priority = 0
     #: checkpoint-protocol layout version (see repro.sim.actor);
     #: bump when a state field is added/renamed/repurposed
-    snapshot_version = 1
+    snapshot_version = 2  # v2: migration-load hook gives load and plan
 
     def __init__(
         self,
@@ -118,9 +136,30 @@ class HotSpotJVM(Actor):
         self._span_gc = None
         self._now = 0.0
         self.on_enforced_ready: ReadyCallback | None = None
-        #: hook installed by migration daemons: fraction of link capacity
-        #: in use this step, used to model dom0 CPU/network contention
-        self.migration_load: Callable[[], float] | None = None
+        self._load = None
+        #: the load a quiet-tick replay hands the per-tick step
+        self._tick_load: float | None = None
+        process.kernel.domain.add_writer(self)
+
+    @property
+    def migration_load(self):
+        """Hook installed by migration daemons, modelling dom0 CPU and
+        network contention: ``load_fraction()`` is the share of link
+        capacity used in the previous tick, ``load_plan(ticks)`` the
+        load each of the next *ticks* ticks will see (``None`` when the
+        daemon cannot plan) and ``load_floor()`` the least load a
+        planned tick can leave.  A bare ``() -> float`` callable is
+        accepted too; it plans nothing."""
+        return self._load
+
+    @migration_load.setter
+    def migration_load(self, hook) -> None:
+        owner = getattr(hook, "__self__", None)
+        if getattr(hook, "__name__", "") == "load_fraction" and hasattr(owner, "load_plan"):
+            hook = owner  # a daemon's bound load_fraction: use the daemon
+        elif hook is not None and not hasattr(hook, "load_plan"):
+            hook = _UnplannedLoad(hook)
+        self._load = hook
 
     # -- control (TI agent entry points) ------------------------------------------------
 
@@ -174,6 +213,9 @@ class HotSpotJVM(Actor):
             return None
         if self._domain_paused() or self.phase is JvmPhase.HELD:
             return math.inf
+        if isinstance(self._load, _UnplannedLoad) and self._load.load_fraction() != 0.0:
+            # An unplanned load may change under a leap; stay on the grid.
+            return None
         if self.phase is JvmPhase.GC or self.phase is JvmPhase.TTS:
             k = _ticks_to_cross(self._timer, dt)
             if k is None:
@@ -183,111 +225,151 @@ class HotSpotJVM(Actor):
         # enforced GC (next tick) or when Eden fills.
         if self._pending_enforced:
             return now + dt
-        if self.migration_load is not None and self.migration_load() != 0.0:
-            # Interference makes the slowdown migration-state-dependent;
-            # stay on the fixed grid while a daemon is moving bytes.
-            return None
         if self.heap.needs_gc:
             return now + dt
-        b = int(self.alloc_bytes_per_s * dt)
-        if b <= 0:
-            return math.inf
+        # Eden fills no earlier than at the fastest allocation the link
+        # load allows: the current load on the next tick, then the
+        # least load the daemon's planned ticks can leave (0 without a
+        # daemon, which is the full allocation rate).
+        first = self._tick_alloc(dt, self._load.load_fraction() if self._load else 0.0)
         room = self.heap.eden_capacity - self.heap.eden_used
-        return now + -(-room // b) * dt
+        if first >= room:
+            return now + dt
+        rest = self._tick_alloc(dt, self._load.load_floor() if self._load else 0.0)
+        if rest <= 0:
+            return math.inf
+        return now + (1 + -(-(room - first) // rest)) * dt
+
+    def _tick_alloc(self, dt: float, load: float) -> int:
+        """Bytes one running tick allocates under link *load*."""
+        slowdown = max(0.0, 1.0 - self.interference_k * load)
+        return int(self.alloc_bytes_per_s * slowdown * dt)
+
+    def page_write_bound(self, dt: float) -> int:
+        """Most page-dirty events one mutator tick issues (slowdown 1):
+        the Eden span plus up to two wrapped Old and misc spans."""
+        def pages(nbytes: float) -> int:
+            return int(nbytes) // PAGE_SIZE + 2
+
+        return (
+            pages(self.alloc_bytes_per_s * dt)
+            + 2 * pages(self.old_write_bytes_per_s * dt)
+            + 2 * pages(self.misc_bytes_per_s * dt + 1.0)
+        )
 
     def step_many(self, start_tick: int, ticks: int, dt: float) -> None:
+        loads = self._load_plan(ticks)
+        domain = self.process.kernel.domain
+        stock = type(self).step is HotSpotJVM.step
         i = 0
-        while i < ticks:
-            if (
-                self.phase is JvmPhase.RUNNING
-                and not self._pending_enforced
-                and not self._domain_paused()
-            ):
-                j = self._quiet_running_ticks(dt, ticks - i)
-                if j >= _MIN_BATCH_TICKS:
-                    self._run_mutators_batch(start_tick + i, j, dt)
-                    i += j
-                    continue
-            self.step((start_tick + i + 1) * dt, dt)
-            i += 1
+        try:
+            while i < ticks:
+                if stock and self.phase is JvmPhase.GC and not self._domain_paused():
+                    # A quiet collection tick only runs the pause timer
+                    # down; the tick it would expire on steps normally.
+                    timer = self._timer
+                    while i < ticks and timer - dt > 0.0:
+                        timer -= dt
+                        i += 1
+                    self._timer = timer
+                    self._now = (start_tick + i) * dt
+                    if i == ticks:
+                        break
+                if (
+                    self.phase is JvmPhase.RUNNING
+                    and not self._pending_enforced
+                    and not self._domain_paused()
+                ):
+                    j = self._quiet_running_ticks(dt, loads[i:])
+                    if j >= _MIN_BATCH_TICKS:
+                        self._run_mutators_batch(start_tick + i, dt, loads[i : i + j])
+                        i += j
+                        continue
+                tick = start_tick + i + 1
+                domain.write_tick = tick
+                self._tick_load = float(loads[i])
+                self.step(tick * dt, dt)
+                i += 1
+        finally:
+            domain.write_tick = None
+            self._tick_load = None
 
-    def _quiet_running_ticks(self, dt: float, remaining: int) -> int:
-        """How many consecutive RUNNING ticks are provably GC-free."""
-        if self.migration_load is not None and self.migration_load() != 0.0:
-            return 0
+    def _load_plan(self, ticks: int) -> np.ndarray:
+        """The link load each of the next *ticks* ticks sees."""
+        if self._load is None:
+            return np.zeros(ticks)
+        loads = self._load.load_plan(ticks)
+        if loads is None:
+            raise SimulationError("leapt through migration load the daemon cannot plan")
+        return loads
+
+    def _quiet_running_ticks(self, dt: float, loads: np.ndarray) -> int:
+        """How many of the next RUNNING ticks (seeing *loads*) are
+        provably GC-free: those whose allocations leave Eden short of
+        full."""
         if self.heap.needs_gc:
             return 0
-        b = int(self.alloc_bytes_per_s * dt)
-        if b <= 0:
-            return remaining
+        slowdown = np.maximum(0.0, 1.0 - self.interference_k * loads)
+        allocated = np.cumsum((self.alloc_bytes_per_s * slowdown * dt).astype(np.int64))
         room = self.heap.eden_capacity - self.heap.eden_used
-        return min(remaining, -(-room // b) - 1)
+        return int(np.searchsorted(allocated, room))
 
-    def _run_mutators_batch(self, start_tick: int, ticks: int, dt: float) -> None:
-        """Replay *ticks* quiet RUNNING steps of :meth:`_run_mutators`.
+    def _run_mutators_batch(self, start_tick: int, dt: float, loads: np.ndarray) -> None:
+        """Replay quiet RUNNING steps of :meth:`_run_mutators`, one per
+        entry of *loads* (the link load each tick sees).
 
-        Page writes are issued as aggregated interval batches (same
-        per-page version counts as the per-tick calls), while the
-        float accumulators — ops counter, misc-write carry — are
-        replayed sequentially so non-associative float addition gives
+        Per-tick amounts are the same float expressions the per-tick
+        path evaluates, elementwise; page writes are issued as
+        aggregated, tick-stamped interval batches (same per-page
+        version counts as the per-tick calls), while the float
+        accumulators — ops counter, misc-write carry — are replayed
+        sequentially so non-associative float addition gives
         bit-identical values.
         """
-        # slowdown is exactly 1.0 here (no load), and x * 1.0 * dt == x * dt.
-        b = int(self.alloc_bytes_per_s * dt)
-        if b > 0:
-            self.heap.allocate_run(b, ticks)
-        self._write_old_batch(self.old_write_bytes_per_s * dt, ticks)
-        self._write_misc_batch(self.misc_bytes_per_s * dt, ticks)
-        v = self.ops_per_s * dt
-        for _ in range(ticks):
+        ticks = loads.size
+        tick_ids = start_tick + 1 + np.arange(ticks, dtype=np.int64)
+        slowdown = np.maximum(0.0, 1.0 - self.interference_k * loads)
+        runs = [
+            self.heap.allocate_run(
+                (self.alloc_bytes_per_s * slowdown * dt).astype(np.int64), tick_ids
+            ),
+            self._old_run(self.old_write_bytes_per_s * slowdown * dt, tick_ids),
+            self._misc_run(self.misc_bytes_per_s * slowdown * dt, tick_ids),
+        ]
+        self.process.write_runs([run for run in runs if run is not None])
+        for v in (self.ops_per_s * slowdown * dt).tolist():
             self.ops_completed += v
         self._now = (start_tick + ticks) * dt
 
-    def _write_old_batch(self, nbytes: float, ticks: int) -> None:
+    def _old_run(self, nbytes: np.ndarray, ticks: np.ndarray) -> tuple | None:
+        """The Old-generation writes of a run of ticks (:meth:`_write_old`
+        per tick), as a ``(base_va, starts, lens, ticks)`` run."""
         ws = min(self.old_ws_bytes, self.heap.old_used)
-        n = int(nbytes)
-        if ws <= 0 or n <= 0:
-            return
-        n = min(n, ws)
-        off = (self._old_cursor + n * np.arange(ticks, dtype=np.int64)) % ws
-        end = off + n
-        wrapped = end - ws
-        has_wrap = wrapped > 0
-        starts = np.concatenate([off, np.zeros(int(has_wrap.sum()), dtype=np.int64)])
-        lens = np.concatenate([np.minimum(end, ws) - off, wrapped[has_wrap]])
-        self.process.write_intervals(self.heap.layout.old_region.start, starts, lens)
-        self._old_cursor = int((self._old_cursor + n * ticks) % ws)
+        if ws <= 0:
+            return None
+        n = np.minimum(nbytes.astype(np.int64), ws)
+        starts, lens, ticks, self._old_cursor = ring_spans(self._old_cursor, ws, n, ticks)
+        return (self.heap.layout.old_region.start, starts, lens, ticks)
 
-    def _write_misc_batch(self, nbytes: float, ticks: int) -> None:
-        size = self.misc_region.length
-        starts: list[int] = []
-        lens: list[int] = []
+    def _misc_run(self, nbytes: np.ndarray, ticks: np.ndarray) -> tuple:
+        """The JVM-internal writes of a run of ticks (:meth:`_write_misc`
+        per tick), as a ``(base_va, starts, lens, ticks)`` run."""
+        # The sub-byte carry is replayed tick by tick (float addition is
+        # not associative); the ring arithmetic is vectorized.
         carry = self._misc_carry
-        cursor = self._misc_cursor
-        for _ in range(ticks):
-            carry += nbytes
-            n = int(carry)
-            if n <= 0:
-                continue
-            carry -= n
-            n = min(n, size)
-            off = cursor % size
-            end = min(off + n, size)
-            starts.append(off)
-            lens.append(end - off)
-            wrapped = n - (end - off)
-            if wrapped > 0:
-                starts.append(0)
-                lens.append(wrapped)
-            cursor = (cursor + n) % size
+        n = []
+        for nb in nbytes.tolist():
+            carry += nb
+            whole = int(carry)
+            if whole > 0:
+                carry -= whole
+            n.append(whole)
         self._misc_carry = carry
-        self._misc_cursor = cursor
-        if starts:
-            self.process.write_intervals(
-                self.misc_region.start,
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(lens, dtype=np.int64),
-            )
+        size = self.misc_region.length
+        starts, lens, ticks, self._misc_cursor = ring_spans(
+            self._misc_cursor, size, np.minimum(np.asarray(n, dtype=np.int64), size), ticks
+        )
+        return (self.misc_region.start, starts, lens, ticks)
 
     # -- phases ---------------------------------------------------------------------------
 
@@ -358,8 +440,11 @@ class HotSpotJVM(Actor):
     def _run_mutators(self, dt: float) -> bool:
         """One step of Java-thread execution; True if a GC is now needed."""
         slowdown = 1.0
-        if self.migration_load is not None:
-            slowdown = max(0.0, 1.0 - self.interference_k * self.migration_load())
+        load = self._tick_load
+        if load is None and self._load is not None:
+            load = self._load.load_fraction()
+        if load is not None:
+            slowdown = max(0.0, 1.0 - self.interference_k * load)
         budget = self.alloc_bytes_per_s * slowdown * dt
         allocated = self.heap.allocate(int(budget))
         self._write_old(self.old_write_bytes_per_s * slowdown * dt)

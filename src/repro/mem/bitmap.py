@@ -17,6 +17,10 @@ from repro.errors import ConfigurationError
 class PageBitmap:
     """A fixed-size bitmap indexed by page frame number."""
 
+    #: clear operations so far; a reader caching a count of set bits
+    #: knows it can only have shrunk if this moved
+    clears = 0
+
     def __init__(self, n_pages: int, fill: bool = False) -> None:
         if n_pages < 0:
             raise ConfigurationError(f"bitmap size must be >= 0, got {n_pages}")
@@ -33,6 +37,7 @@ class PageBitmap:
 
     def clear(self, pfn: int) -> None:
         self._bits[pfn] = False
+        self.clears += 1
 
     # -- bulk operations -------------------------------------------------------
 
@@ -41,6 +46,7 @@ class PageBitmap:
 
     def clear_pfns(self, pfns: np.ndarray) -> None:
         self._bits[pfns] = False
+        self.clears += 1
 
     def set_range(self, start: int, end: int) -> None:
         """Set bits for PFNs in ``[start, end)``."""
@@ -48,12 +54,14 @@ class PageBitmap:
 
     def clear_range(self, start: int, end: int) -> None:
         self._bits[start:end] = False
+        self.clears += 1
 
     def set_all(self) -> None:
         self._bits[:] = True
 
     def clear_all(self) -> None:
         self._bits[:] = False
+        self.clears += 1
 
     def test_pfns(self, pfns: np.ndarray) -> np.ndarray:
         """Boolean array: bit state for each PFN in *pfns*."""
@@ -97,6 +105,7 @@ class PageBitmap:
         """
         pfns = np.flatnonzero(self._bits)
         self._bits[:] = False
+        self.clears += 1
         return pfns
 
     def copy(self) -> "PageBitmap":

@@ -70,8 +70,10 @@ class FrameAllocator:
 
     def allocated_pfns(self) -> np.ndarray:
         """All currently-allocated PFNs, ascending."""
-        return np.asarray(sorted(self._allocated), dtype=np.int64)
+        return np.sort(
+            np.fromiter(self._allocated, dtype=np.int64, count=len(self._allocated))
+        )
 
     def free_pfns(self) -> np.ndarray:
         """All currently-free PFNs, ascending (for free-page-skip baselines)."""
-        return np.asarray(sorted(int(p) for p in self._free), dtype=np.int64)
+        return np.sort(np.asarray(self._free, dtype=np.int64))

@@ -36,6 +36,10 @@ class _Vma:
 class PageTable:
     """VA→PFN mappings for one process."""
 
+    #: VMA start VPNs, rebuilt lazily after a map/unmap (a class-level
+    #: default so tables pickled without the cache restore cleanly)
+    _starts_cache: list[int] | None = None
+
     def __init__(self) -> None:
         self._vmas: list[_Vma] = []  # sorted by start_vpn, non-overlapping
 
@@ -58,6 +62,7 @@ class PageTable:
         if idx < len(self._vmas) and self._vmas[idx].start_vpn < end_vpn:
             raise AddressError(f"mapping overlaps existing VMA before vpn {end_vpn}")
         self._vmas.insert(idx, _Vma(start_vpn, pfns.copy()))
+        self._starts_cache = None
 
     def unmap_range(self, r: VARange) -> np.ndarray:
         """Unmap the page-aligned range *r*; returns the PFNs released.
@@ -91,6 +96,7 @@ class PageTable:
             )
         remaining.sort(key=lambda v: v.start_vpn)
         self._vmas = remaining
+        self._starts_cache = None
         return np.concatenate(released) if released else np.empty(0, dtype=np.int64)
 
     def remap_page(self, va: int, new_pfn: int) -> int:
@@ -118,28 +124,39 @@ class PageTable:
             raise TranslationFault(f"no mapping for va {va:#x}")
         return int(vma.pfns[vpn - vma.start_vpn])
 
-    def walk(self, r: VARange, strict: bool = False) -> np.ndarray:
-        """Page-table walk: PFNs of the pages fully inside *r*.
+    def walk(self, r: VARange | tuple[int, int], strict: bool = False) -> np.ndarray:
+        """Page-table walk: PFNs of the pages fully inside *r* — a VA
+        range, or a ``(start_vpn, end_vpn)`` page span.
 
         With ``strict=False`` (the LKM's behaviour) unmapped pages are
         silently absent from the result; ``strict=True`` raises instead.
+        Bisects to the first VMA that can overlap the span; a span
+        inside one VMA (the common case) is a single slice copy.
         """
-        start_vpn, end_vpn = page_span_inner(r)
+        start_vpn, end_vpn = r if isinstance(r, tuple) else page_span_inner(r)
+        vmas = self._vmas
+        idx = max(bisect.bisect_right(self._starts(), start_vpn) - 1, 0)
+        if idx < len(vmas):
+            vma = vmas[idx]
+            lo = start_vpn - vma.start_vpn
+            if lo >= 0 and end_vpn - vma.start_vpn <= len(vma.pfns):
+                return vma.pfns[lo : end_vpn - vma.start_vpn].copy()
         out: list[np.ndarray] = []
         found = 0
-        for vma in self._vmas:
-            if vma.end_vpn <= start_vpn:
+        for vma in vmas[idx:]:
+            vma_end = vma.start_vpn + len(vma.pfns)
+            if vma_end <= start_vpn:
                 continue
             if vma.start_vpn >= end_vpn:
                 break
             lo = max(vma.start_vpn, start_vpn)
-            hi = min(vma.end_vpn, end_vpn)
+            hi = min(vma_end, end_vpn)
             out.append(vma.pfns[lo - vma.start_vpn : hi - vma.start_vpn])
             found += hi - lo
         if strict and found != end_vpn - start_vpn:
             raise TranslationFault(
-                f"walk of [{r.start:#x}, {r.end:#x}) found {found} of "
-                f"{end_vpn - start_vpn} pages"
+                f"walk of [{start_vpn << PAGE_SHIFT:#x}, {end_vpn << PAGE_SHIFT:#x}) "
+                f"found {found} of {end_vpn - start_vpn} pages"
             )
         return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
@@ -160,7 +177,9 @@ class PageTable:
     # -- internals ---------------------------------------------------------------
 
     def _starts(self) -> list[int]:
-        return [vma.start_vpn for vma in self._vmas]
+        if self._starts_cache is None:
+            self._starts_cache = [vma.start_vpn for vma in self._vmas]
+        return self._starts_cache
 
     def _find_vma(self, vpn: int) -> _Vma | None:
         idx = bisect.bisect_right(self._starts(), vpn) - 1

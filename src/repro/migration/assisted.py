@@ -37,7 +37,7 @@ class AssistedMigrator(PrecopyMigrator):
     name = "assisted"
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 2  # v2: precopy v5 integer cost tallies
+    snapshot_version = 3  # v3: precopy v6 race-leap bookkeeping
 
     def __init__(
         self,
@@ -102,17 +102,17 @@ class AssistedMigrator(PrecopyMigrator):
     def _transfer_allowed(self, pfns: np.ndarray) -> np.ndarray | None:
         return self.lkm.transfer_mask(pfns)
 
+    def _allow_epoch(self) -> int:
+        return self.lkm.transfer_bitmap.clears
+
     def _reinject_skipped(self, pfns: np.ndarray) -> None:
         # A dirty page skipped because its transfer bit is cleared must
         # stay dirty: if its bit is set later (area shrink, final
         # update) it still has to be transferred.
-        self.domain.dirty_log.mark(pfns)
+        self.domain.dirty_log.remark(pfns)
 
     def _remaining_dirty_count(self) -> int:
-        dirty = self.domain.dirty_log.peek()
-        if dirty.size == 0:
-            return 0
-        return int(self.lkm.transfer_mask(dirty).sum())
+        return self.domain.dirty_log.count(where=self.lkm.transfer_bitmap.raw())
 
     # -- verification ----------------------------------------------------------------------
 

@@ -114,7 +114,7 @@ class JavmmCompressedMigrator(JavmmMigrator):
     name = "javmm+compress"
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 2  # v2: integer per-method page tallies
+    snapshot_version = 3  # v3: precopy v6 race-leap bookkeeping
 
     def __init__(
         self,

@@ -25,7 +25,7 @@ class JavmmMigrator(AssistedMigrator):
     name = "javmm"
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 2  # v2: precopy v5 integer cost tallies
+    snapshot_version = 3  # v3: precopy v6 race-leap bookkeeping
 
     def __init__(
         self,

@@ -143,6 +143,21 @@ class PostCopyMigrator(Actor):
         link_share = min(1.0, self._last_step_wire / max(self._step_capacity, 1e-9))
         return min(1.0, link_share + self._recent_stall)
 
+    def load_plan(self, ticks: int) -> np.ndarray | None:
+        """The guest's slowdown load over the next *ticks* ticks: known
+        only while no migration is in flight (it is then zero after the
+        current tick)."""
+        if self.phase not in (MigrationPhase.IDLE, MigrationPhase.DONE, MigrationPhase.ABORTED):
+            return None
+        loads = np.zeros(ticks)
+        if ticks:
+            loads[0] = self.load_fraction()
+        return loads
+
+    def load_floor(self) -> float:
+        """Leaps happen only while idle, when the load is nil."""
+        return 0.0
+
     # -- actor -------------------------------------------------------------------
 
     def next_event(self, now: float) -> float | None:

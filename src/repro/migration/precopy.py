@@ -16,7 +16,11 @@ The migration daemon iterates over the guest's memory:
 
 Transfer progress and guest dirtying interleave at simulation-step
 granularity, so the race the paper measures (Figure 1) is reproduced
-rather than post-computed.
+rather than post-computed.  The event kernel may leap through stretches
+of that race (DESIGN.md §6, "race leaps"): the guests write the stretch
+first with tick-stamped marks, then :meth:`PrecopyMigrator.step_many`
+replays one :meth:`~PrecopyMigrator._pump` per tick against the stamped
+log, exactly as the fixed kernel interleaves them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from repro.errors import MigrationAbortedError, MigrationError
+from repro.errors import MigrationAbortedError, MigrationError, SimulationError
 from repro.mem.constants import PAGE_SIZE
 from repro.migration.report import DowntimeBreakdown, IterationRecord, MigrationReport
 from repro.migration.verify import verify_source_after_abort
@@ -34,6 +38,7 @@ from repro.net.link import Link
 from repro.sim.actor import Actor
 from repro.telemetry.probe import NULL_PROBE
 from repro.units import GIB
+from repro.xen.dirty_log import MAX_STAMP_TICK
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Hypervisor
 
@@ -60,6 +65,32 @@ CPU_S_PER_BYTE_RESCUE_COMPRESSED = 12.0 / GIB
 _SCAN_MIN = 1
 _SCAN_MAX = 16384
 
+#: A race leap's sendable-page floor is recounted (from the cursor)
+#: once it can no longer cover this many worst-case ticks; a recount
+#: stops after four times that many ticks' worth of sendable pages.
+_RACE_RESCAN_TICKS = 64
+
+#: Methods whose stock versions make a tick's sends a pure function of
+#: the byte budget (no per-page payload, no extra per-tick work); a
+#: subclass overriding any of them keeps per-tick stepping.
+_PLANNED_METHODS = ("step", "_pump", "_scan", "_send_round", "_payload_for",
+                    "_page_payload_bytes")
+
+
+def _refilled(budget: float, capacity: float, page_wire_bytes: int) -> float:
+    """A tick's opening budget: unused budget banks at most one page."""
+    return min(budget, float(page_wire_bytes)) + capacity
+
+
+def _round_limit(budget: float, wire_cost: int) -> int:
+    """Sendable pages one budget round may take (0: unaffordable)."""
+    return int(budget // wire_cost) if budget >= wire_cost else 0
+
+
+def _charged(budget: float, n_send: int, payload: int, page_overhead: int) -> float:
+    """*budget* after a round sends *n_send* pages of *payload* bytes."""
+    return budget - (payload + n_send * page_overhead)
+
 
 def _sorted_ledger(ledger: dict) -> dict:
     """Canonical (sorted-key) copy of a byte ledger, matching the order
@@ -83,8 +114,10 @@ class PrecopyMigrator(Actor):
     priority = 10
     #: checkpoint-protocol layout version (see repro.sim.actor);
     #: bump when a state field is added/renamed/repurposed
-    snapshot_version = 5  # v5: integer cost tallies replace float sums
+    snapshot_version = 6  # v6: race-leap bookkeeping
     name = "xen-precopy"
+    #: set per subclass: does it keep every method in _PLANNED_METHODS?
+    _plans_ticks = True
 
     def __init__(
         self,
@@ -180,6 +213,13 @@ class PrecopyMigrator(Actor):
         self._rescue_bytes = 0
         self._floor_ticks = 0
         self._floor_dt = 0.0
+        #: race leaps: dirty-log (marked, stamped) counts after this
+        #: daemon's last tick, and the basis of the sendable-page floor
+        #: ``((iteration, allow epoch), count, capped, dirtied, sent)``
+        self._marks_seen = (0, 0)
+        self._sendable_basis: tuple | None = None
+        #: the last tick plan, ``(inputs, plan)``; transient within a leap
+        self._plan_memo: tuple | None = None
 
     @property
     def _track(self) -> str:
@@ -195,6 +235,7 @@ class PrecopyMigrator(Actor):
         self.dest_domain = self.domain.make_destination()
         self.source_versions_at_start = self.domain.pages.snapshot()
         self.domain.dirty_log.enable()
+        self._note_marks()
         self.link.register_consumer(self)
         # Latency-bound floors (zero on a plain LAN link): each
         # iteration's dirty-bitmap sync crosses the reverse path, and
@@ -352,25 +393,69 @@ class PrecopyMigrator(Actor):
         guest-interference model)."""
         if self.phase in (MigrationPhase.IDLE, MigrationPhase.DONE, MigrationPhase.ABORTED):
             return 0.0
-        if self._step_capacity <= 0:
+        return self._load_of(self._last_step_wire, self._step_capacity)
+
+    @staticmethod
+    def _load_of(wire: float, capacity: float) -> float:
+        if capacity <= 0:
             return 0.0
-        return min(1.0, self._last_step_wire / self._step_capacity)
+        return min(1.0, wire / capacity)
+
+    def load_plan(self, ticks: int) -> np.ndarray | None:
+        """The link load the guest sees on each of the next *ticks*
+        ticks: the current :meth:`load_fraction`, then the load each
+        planned tick of this daemon leaves behind.  ``None`` while the
+        daemon cannot plan (it then also abstains from leaping)."""
+        loads = np.zeros(ticks)
+        if ticks:
+            loads[0] = self.load_fraction()
+        if self.phase in (MigrationPhase.IDLE, MigrationPhase.DONE, MigrationPhase.ABORTED):
+            return loads
+        dt = self.sim_dt
+        if self.phase is not MigrationPhase.ITERATING or dt is None or not self._plans_exactly():
+            return None
+        capacity = self.link.share_for(self, dt)
+        # Plan all *ticks* ticks: the replay that follows reuses it.
+        wires = [wire for _, wire in self._tick_plan(ticks, dt)[:-1]]
+        if wires and capacity > 0:
+            # elementwise min(1.0, wire / capacity), as _load_of
+            loads[1:] = np.minimum(1.0, np.asarray(wires, dtype=np.float64) / capacity)
+        return loads
+
+    def load_floor(self) -> float:
+        """The least load a planned tick can leave: a quiet ITERATING
+        tick sends at least ``capacity // wire_cost`` pages (its budget
+        is at least the tick's capacity).  0 when the daemon cannot
+        plan — it then does not leap, or is idle and loads nothing."""
+        dt = self.sim_dt
+        if self.phase is not MigrationPhase.ITERATING or dt is None:
+            return 0.0
+        capacity = self.link.share_for(self, dt)
+        wire_cost = self._page_wire_cost()
+        return self._load_of(_round_limit(capacity, wire_cost) * wire_cost, capacity)
 
     # -- actor -------------------------------------------------------------------------------
 
     def next_event(self, now: float) -> float | None:
-        # Quiet only when no migration is in flight.  Active phases do
-        # real pump work every tick (link shares, watchdogs, budget
-        # banking) that cannot be aggregated, so abstain and force the
-        # whole engine down to per-tick stepping while migrating.
+        # Quiet when no migration is in flight.  While ITERATING, the
+        # daemon grants a race-leap horizon (see _race_quiet_ticks);
+        # every other active phase abstains and forces per-tick steps.
         if self.phase in (MigrationPhase.IDLE, MigrationPhase.DONE, MigrationPhase.ABORTED):
             return math.inf
-        return None
+        if self.phase is not MigrationPhase.ITERATING or self._dest_failed_reason is not None:
+            return None
+        quiet = self._race_quiet_ticks(now)
+        if quiet is None:
+            return None
+        return now + (quiet + 1) * self.sim_dt
 
     def step_many(self, start_tick: int, ticks: int, dt: float) -> None:
-        # Only reachable in a terminal phase (active phases abstain);
-        # the per-tick body would just clear the wire counter.
-        self._last_step_wire = 0.0
+        if self.phase is MigrationPhase.ITERATING:
+            self._replay_race(start_tick, ticks, dt)
+        else:
+            # A terminal phase: the per-tick body would just clear the
+            # wire counter.
+            self._last_step_wire = 0.0
 
     def step(self, now: float, dt: float) -> None:
         if self.phase in (MigrationPhase.IDLE, MigrationPhase.DONE, MigrationPhase.ABORTED):
@@ -387,9 +472,7 @@ class PrecopyMigrator(Actor):
             if self._resume_timer <= 0.0:
                 self._finish(now)
             return
-        self._step_capacity = self.link.share_for(self, dt)
-        # Unused budget does not bank across steps beyond one page.
-        self._budget = min(self._budget, float(self.link.page_wire_bytes)) + self._step_capacity
+        self._refill(dt)
         step_wire_before = self.link.meter.wire_bytes
         guard = 0
         while self.phase not in (MigrationPhase.RESUMING, MigrationPhase.DONE):
@@ -421,9 +504,204 @@ class PrecopyMigrator(Actor):
                 break  # per-iteration overhead floor not yet paid
             if not self._end_iteration(now):
                 break
-        self._last_step_wire = self.link.meter.wire_bytes - step_wire_before
+        self._close_tick(now, step_wire_before)
+        self._note_marks()
+
+    def _refill(self, dt: float) -> None:
+        """Open a pumping tick: take its link share and refill the budget."""
+        self._step_capacity = self.link.share_for(self, dt)
+        self._budget = _refilled(self._budget, self._step_capacity, self.link.page_wire_bytes)
+
+    def _close_tick(self, now: float, wire_before: int) -> None:
+        """Close a pumping tick: the wire it used is the guest's load."""
+        self._last_step_wire = self.link.meter.wire_bytes - wire_before
         if self._last_step_wire > 0:
             self._last_progress_at = now
+
+    def _note_marks(self) -> None:
+        """Remember the dirty log's mark counts after this daemon's tick."""
+        log = self.domain.dirty_log
+        self._marks_seen = (log.marked, log.stamped)
+
+    # -- race leaps ------------------------------------------------------------------------
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._plans_ticks = all(
+            getattr(cls, name) is getattr(PrecopyMigrator, name)
+            for name in _PLANNED_METHODS
+        )
+
+    def _plans_exactly(self) -> bool:
+        """Whether :meth:`_tick_plan` predicts this daemon's ticks: the
+        stock step and pump, and a payload that depends only on how
+        many pages go (not which — compression models abstain)."""
+        return self._plans_ticks
+
+    def _tick_plan(self, ticks: int, dt: float) -> list[tuple[int, int]]:
+        """``(pages, wire bytes)`` each of the next *ticks* ticks sends
+        while the pending set cannot run out.
+
+        Every round then finds its ``limit + 1``-th sendable page and
+        sends exactly ``limit`` pages, so both follow from the budget
+        recurrence alone — computed with the same helpers the pump and
+        the link's accounting use.
+        """
+        capacity = self.link.share_for(self, dt)
+        wire_cost = self._page_wire_cost()
+        payload = self._page_payload_bytes()
+        link = self.link
+        inputs = (self._budget, capacity, wire_cost, payload, link.page_overhead,
+                  link.page_wire_bytes, link.loss_rate)
+        memo = self._plan_memo
+        if memo is not None and memo[0] == inputs and len(memo[1]) >= ticks:
+            return memo[1][:ticks]
+        budget = self._budget
+        page_wire_bytes, overhead = link.page_wire_bytes, link.page_overhead
+        plan = []
+        for _ in range(ticks):
+            budget = _refilled(budget, capacity, page_wire_bytes)
+            sent = wire = 0
+            while limit := _round_limit(budget, wire_cost):
+                budget = _charged(budget, limit, limit * payload, overhead)
+                sent += limit
+                wire += link.wire_cost(limit, limit * payload)[0]
+            plan.append((sent, wire))
+        self._plan_memo = (inputs, plan)
+        return plan
+
+    def _race_quiet_ticks(self, now: float) -> int | None:
+        """How many ticks after *now* are provably quiet for this
+        ITERATING daemon, or ``None`` to abstain.
+
+        A tick is quiet when its pump cannot drain the pending set.
+        Each tick sends at most ``sends`` pages and the guests' writers
+        dirty at most ``writes`` (their declared bounds), so ``S``
+        sendable pages past the cursor keep ``(S - 1) // (writes +
+        sends)`` ticks quiet.  Phase deadlines and the stall watchdog
+        bound the leap too.
+        """
+        dt = self.sim_dt
+        if dt is None or not self._plans_exactly():
+            return None
+        writes = self.domain.page_write_bound(dt)
+        if writes is None:
+            return None
+        capacity = self.link.share_for(self, dt)
+        sends = int((float(self.link.page_wire_bytes) + capacity) // self._page_wire_cost()) + 1
+        per_tick = writes + sends
+        floor = self._sendable_floor(_RACE_RESCAN_TICKS * per_tick, per_tick + 1)
+        quiet = (floor - 1) // per_tick
+        deadlines = []
+        limit = self.phase_timeouts.get(self.phase.value)
+        if limit is not None:
+            entered = self._phase_entered_at if self._watch_phase is self.phase else now
+            deadlines.append(entered + limit)
+        if self.stall_timeout_s is not None:
+            deadlines.append(self._last_progress_at + self.stall_timeout_s)
+        for deadline in deadlines:
+            # The watchdog fires at the first tick past the deadline;
+            # land on or before it.
+            quiet = min(quiet, int((deadline - now) / dt) - 1)
+        # The dirty log stamps ticks up to MAX_STAMP_TICK.
+        quiet = min(quiet, MAX_STAMP_TICK - round(now / dt) - 2)
+        return max(quiet, 0)
+
+    def _sendable_floor(self, need: int, useful: int) -> int:
+        """A lower bound on the sendable pages past the cursor.
+
+        Counted from the cursor, then kept as a basis: since the count,
+        each page the dirty log turned dirty and each page sent removes
+        at most one sendable page (transfer bits are only cleared
+        through the allow epoch, which invalidates the basis).  A floor
+        below *need* is recounted only while a fresh count could still
+        reach *useful* — it can gain no more than the dirtying since
+        the basis — so ticks stepped between leaps mostly cost O(1).
+        """
+        log = self.domain.dirty_log
+        key = (self._iter_index, self._allow_epoch())
+        basis = self._sendable_basis
+        if basis is not None and basis[0] == key:
+            _, count, capped, dirtied, sent = basis
+            most = count - (self._iter_sent - sent)
+            floor = most - (log.dirtied - dirtied)
+            if floor >= need or floor == most or (not capped and most < useful):
+                return floor
+        count, capped = self._count_sendable(4 * need)
+        self._sendable_basis = (key, count, capped, log.dirtied, self._iter_sent)
+        return count
+
+    def _count_sendable(self, cap: int) -> tuple[int, bool]:
+        """Sendable pages past the cursor, and whether counting stopped
+        at *cap* before the end of the pending set."""
+        pending = self._pending
+        dirty_mask = self.domain.dirty_log.dirty_mask
+        pos = self._cursor
+        window = _SCAN_MAX
+        found = 0
+        while pos < len(pending) and found < cap:
+            seg = pending[pos : pos + window]
+            send = ~dirty_mask(seg)
+            allowed = self._transfer_allowed(seg)
+            if allowed is not None:
+                send &= allowed
+            found += int(np.count_nonzero(send))
+            pos += seg.size
+            window *= 2
+        return found, pos < len(pending)
+
+    def _allow_epoch(self) -> int:
+        """Changes whenever a page may have lost its permission to be
+        transferred (the vanilla daemon consults no bitmap)."""
+        return 0
+
+    def _replay_race(self, start_tick: int, ticks: int, dt: float) -> None:
+        """Replay *ticks* quiet ITERATING ticks after the guests wrote them.
+
+        Tick by tick, the dirty log answers as of that tick's guest
+        writes (their stamps), and :meth:`_pump` runs exactly as the
+        fixed kernel's step would.  Raises :class:`SimulationError` if
+        the guests wrote unstamped or past their declared bound, or a
+        tick's sends or wire differ from the plan the guests saw.
+        """
+        log = self.domain.dirty_log
+        writes = self.domain.page_write_bound(dt)
+        marked, stamped = self._marks_seen
+        if (
+            writes is None
+            or log.marked - marked != log.stamped - stamped
+            or log.marked - marked > ticks * writes
+        ):
+            raise SimulationError(
+                "guest writes inside a race leap were unstamped or exceeded "
+                "their declared page bound"
+            )
+        meter = self.link.meter
+        page_wire_bytes = self.link.page_wire_bytes
+        capacity = self.link.share_for(self, dt)  # fixed across a quiet stretch
+        try:
+            for tick, (sent, wire) in enumerate(self._tick_plan(ticks, dt), start_tick + 1):
+                now = tick * dt
+                log.view_tick = tick
+                self._watchdog(now)
+                # _refill, with the stretch's capacity
+                self._step_capacity = capacity
+                self._budget = _refilled(self._budget, capacity, page_wire_bytes)
+                sent_before, wire_before = self._iter_sent, meter.wire_bytes
+                self._pump(now)
+                if (
+                    self._cursor >= len(self._pending)
+                    or self._iter_sent - sent_before != sent
+                    or meter.wire_bytes - wire_before != wire
+                ):
+                    raise SimulationError(
+                        f"race-leap replay of tick {tick} diverged from its plan"
+                    )
+                self._close_tick(now, wire_before)
+        finally:
+            log.view_tick = None
+            self._plan_memo = None
+        self._note_marks()
 
     def _watchdog(self, now: float) -> None:
         """Abort when a deadline fires.  Raises MigrationAbortedError."""
@@ -581,8 +859,11 @@ class PrecopyMigrator(Actor):
         past the budget.
         """
         wire_cost = self._page_wire_cost()
-        while self._cursor < len(self._pending) and self._budget >= wire_cost:
-            end, allowed, send = self._scan(int(self._budget // wire_cost))
+        while self._cursor < len(self._pending):
+            limit = _round_limit(self._budget, wire_cost)
+            if not limit:
+                break
+            end, allowed, send = self._scan(limit)
             self._send_round(self._pending[self._cursor : end], allowed, send,
                              int(wire_cost))
             self._cursor = end
@@ -613,9 +894,13 @@ class PrecopyMigrator(Actor):
             k = int(np.count_nonzero(send))
             if found + k > limit:
                 cut = int(send.nonzero()[0][limit - found])
-                allowed_parts.append(None if allowed is None else allowed[:cut])
-                send_parts.append(send[:cut])
+                allowed = None if allowed is None else allowed[:cut]
+                send = send[:cut]
                 pos += cut
+                if not send_parts:
+                    return pos, allowed, send
+                allowed_parts.append(allowed)
+                send_parts.append(send)
                 break
             allowed_parts.append(allowed)
             send_parts.append(send)
@@ -631,22 +916,22 @@ class PrecopyMigrator(Actor):
                     send: np.ndarray, page_cost: int) -> None:
         """Send one budget round's batch and account for it once."""
         to_send = batch[send]
-        n_send = int(to_send.size)
-        n_bitmap = 0 if allowed is None else int(batch.size - np.count_nonzero(allowed))
-        n_redirty = int(batch.size) - n_send - n_bitmap
+        n_send = to_send.size
+        n_batch = batch.size
+        n_bitmap = 0 if allowed is None else n_batch - int(np.count_nonzero(allowed))
+        n_redirty = n_batch - n_send - n_bitmap
         compressed = 0
         if n_send:
             dest = self.dest_domain
             assert dest is not None
             dest.install_pages(to_send, self.domain.read_pages(to_send))
             payload = self._payload_for(to_send)
-            self._budget -= payload + n_send * self.link.page_overhead
+            link = self.link
+            self._budget = _charged(self._budget, n_send, payload, link.page_overhead)
             category = self._wire_category()
-            wire = self.link.account_pages(
-                n_send, payload_bytes=payload, category=category
-            )
+            wire = link.account_pages(n_send, payload_bytes=payload, category=category)
             self._iter_wire += wire
-            self.report.account_wire(wire, self.link.last_retransmit_bytes, category)
+            self.report.account_wire(wire, link.last_retransmit_bytes, category)
             self._iter_sent += n_send
             self._count_sent(n_send)
             # Any payload below raw page bytes is compression at work —
@@ -656,7 +941,9 @@ class PrecopyMigrator(Actor):
             self._reinject_skipped(batch[~allowed])
         self._iter_skip_bitmap += n_bitmap
         self._iter_skip_dirty += n_redirty
-        self._pages_scanned += int(batch.size)
+        self._pages_scanned += n_batch
+        if not (compressed or n_bitmap or n_redirty):
+            return
         # Skip savings are priced at what each page would have cost on
         # the wire right now (pre-loss: the skipped page would also have
         # skipped its retransmissions).

@@ -199,6 +199,21 @@ class Link:
             return float("inf")
         return n_bytes / self.goodput
 
+    def wire_cost(self, n_pages: int, payload_bytes: int) -> tuple[int, int]:
+        """``(wire, retransmitted)`` bytes for *n_pages* pages carrying
+        *payload_bytes* of payload, at the current loss rate.
+
+        Pure: :meth:`account_pages` records exactly this, and a daemon
+        planning ticks ahead prices its rounds with the same function.
+        """
+        wire = payload_bytes + n_pages * self.page_overhead
+        retrans = 0
+        if self.loss_rate > 0.0:
+            # Lost frames are re-carried: the consumer's goodput budget
+            # already shrank, so the extra bytes fill the physical pipe.
+            retrans = int(round(wire * self.loss_rate / (1.0 - self.loss_rate)))
+        return wire + retrans, retrans
+
     def account_pages(
         self,
         n_pages: int,
@@ -214,14 +229,8 @@ class Link:
         mirrored into :attr:`last_retransmit_bytes` for the caller.
         """
         payload = n_pages * PAGE_SIZE if payload_bytes is None else int(payload_bytes)
-        wire = payload + n_pages * self.page_overhead
-        retrans = 0
-        if self.loss_rate > 0.0:
-            # Lost frames are re-carried: the consumer's goodput budget
-            # already shrank, so the extra bytes fill the physical pipe.
-            retrans = int(round(wire * self.loss_rate / (1.0 - self.loss_rate)))
-            self.retransmit_wire_bytes += retrans
-            wire += retrans
+        wire, retrans = self.wire_cost(n_pages, payload)
+        self.retransmit_wire_bytes += retrans
         self.last_retransmit_bytes = retrans
         self.meter.add(
             pages=n_pages,

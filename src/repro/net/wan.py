@@ -193,8 +193,8 @@ class WanDriver(Actor):
 
     Determinism contract with the event kernel: the Gilbert–Elliott
     chain draws exactly one uniform per tick *while the link has active
-    consumers* and none otherwise.  An in-flight migration abstains
-    from horizons (forcing per-tick stepping for everyone), so the
+    consumers* and none otherwise.  This driver abstains from horizons
+    while it draws (forcing per-tick stepping for everyone), so the
     draw sequence is identical under both kernels; while idle the chain
     is frozen, which is what makes the quiet-stretch leaps safe.
     """

@@ -66,7 +66,7 @@ class TraceDrivenJVM(HotSpotJVM):
 
     #: checkpoint-protocol layout version; this subclass adds its own
     #: state fields, so it versions its snapshot independently
-    snapshot_version = 1
+    snapshot_version = 2  # v2: HotSpotJVM v2 migration-load hook
 
     def __init__(self, process, heap, trace: list[TracePoint], **kwargs) -> None:
         if not trace:

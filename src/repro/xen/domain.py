@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, MigrationError
+from repro.mem.address import cover
 from repro.mem.constants import PAGE_SIZE, bytes_to_pages
 from repro.mem.versioned import VersionedPages
 from repro.xen.dirty_log import DirtyLog
@@ -38,6 +39,35 @@ class Domain:
         #: total pause time accumulated, for downtime cross-checks
         self.paused_seconds = 0.0
         self._paused_since: float | None = None
+        #: actors that write this domain's memory, each declaring a
+        #: per-tick page bound (see :meth:`page_write_bound`)
+        self.writers: list = []
+        #: tick stamped on writes while a quiet-tick replay steps a
+        #: writer one tick at a time (see DirtyLog.mark_stamped); else None
+        self.write_tick: int | None = None
+
+    # -- writers ------------------------------------------------------------------
+
+    def add_writer(self, writer) -> None:
+        """Register an actor that writes this domain's memory.
+
+        *writer* provides ``page_write_bound(dt)``: the most page-dirty
+        events one of its quiet ticks can issue, or ``None`` if it
+        declares no bound.
+        """
+        if writer not in self.writers:
+            self.writers.append(writer)
+
+    def page_write_bound(self, dt: float) -> int | None:
+        """Most page-dirty events one quiet tick of all registered
+        writers can issue; ``None`` when any writer declares no bound."""
+        total = 0
+        for writer in self.writers:
+            bound = writer.page_write_bound(dt)
+            if bound is None:
+                return None
+            total += bound
+        return total
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -73,58 +103,87 @@ class Domain:
         """Guest write to the given pages: bump versions, log dirty."""
         if self._paused:
             raise MigrationError(f"paused domain {self.name} cannot write memory")
+        if self.write_tick is None:
+            self.dirty_log.mark(pfns)
+        else:
+            self.dirty_log.mark_stamped(pfns, self.write_tick, self.pages)
         self.pages.bump(pfns)
-        self.dirty_log.mark(pfns)
 
     def touch_range(self, start_pfn: int, end_pfn: int) -> None:
         """Guest write to the contiguous PFN range ``[start, end)``."""
         if self._paused:
             raise MigrationError(f"paused domain {self.name} cannot write memory")
+        if self.write_tick is None:
+            self.dirty_log.mark_range(start_pfn, end_pfn)
+        else:
+            self.dirty_log.mark_stamped(
+                np.arange(start_pfn, end_pfn, dtype=np.int64), self.write_tick, self.pages
+            )
         self.pages.bump_range(start_pfn, end_pfn)
-        self.dirty_log.mark_range(start_pfn, end_pfn)
 
-    def touch_pfns_counted(self, pfns: np.ndarray, counts: np.ndarray) -> None:
+    def touch_pfns_counted(
+        self, pfns: np.ndarray, counts: np.ndarray, ticks: np.ndarray | None = None
+    ) -> None:
         """Batched form of :meth:`touch_pfns` over a contiguous PFN walk.
 
         ``counts[i]`` is how many times ``pfns[i]`` would have been
         bumped by the equivalent per-write call sequence; zero-count
         entries (gaps between write intervals) are neither bumped nor
-        marked dirty.
+        marked dirty.  ``ticks[i]``, when given, is the earliest tick
+        among those writes (the dirty log stamps it).
         """
         if self._paused:
             raise MigrationError(f"paused domain {self.name} cannot write memory")
-        covered = counts > 0
-        self.pages.bump_counts(pfns[covered], counts[covered])
-        self.dirty_log.mark_counted(pfns[covered], int(counts.sum()))
+        events = int(counts.sum())
+        if not counts.all():  # gaps between the write intervals
+            covered = counts > 0
+            pfns, counts = pfns[covered], counts[covered]
+            if ticks is not None:
+                ticks = ticks[covered]
+        if ticks is None:
+            self.dirty_log.mark_counted(pfns, events)
+        else:
+            self.dirty_log.mark_stamped(pfns, ticks, self.pages, events)
+        self.pages.bump_counts(pfns, counts)
 
-    def touch_pfn_intervals(self, starts: np.ndarray, lens: np.ndarray) -> None:
+    def touch_pfn_intervals(
+        self, starts: np.ndarray, lens: np.ndarray, ticks: np.ndarray | None = None
+    ) -> None:
         """Batched form of :meth:`touch_range` over many PFN intervals.
 
         Exactly equivalent to one ``touch_range(s, s + n)`` call per
         ``(s, n)`` pair: per-page version bumps count every covering
-        interval, and the dirty log sees the same page totals.
+        interval, and the dirty log sees the same page totals.  With
+        per-interval *ticks*, each page is stamped with the earliest
+        tick that wrote it.
         """
         if self._paused:
             raise MigrationError(f"paused domain {self.name} cannot write memory")
         keep = lens > 0
         if not keep.all():
             starts, lens = starts[keep], lens[keep]
+            if ticks is not None:
+                ticks = ticks[keep]
         if starts.size == 0:
             return
-        lo = int(starts.min())
-        hi = int((starts + lens).max())
-        diff = np.zeros(hi - lo + 1, dtype=np.int64)
-        np.add.at(diff, starts - lo, 1)
-        np.add.at(diff, starts + lens - lo, -1)
-        counts = np.cumsum(diff[:-1])
+        if ticks is not None and not self.dirty_log.enabled:
+            ticks = None  # stamps only matter while the log records
+        lo, counts, earliest = cover(starts, starts + lens, ticks)
+        covered = np.flatnonzero(counts)
+        if earliest is None:
+            self.dirty_log.mark_counted(lo + covered, int(lens.sum()))
+        else:
+            self.dirty_log.mark_stamped(
+                lo + covered, earliest[covered], self.pages, int(lens.sum())
+            )
         self.pages.bump_slice_counts(lo, counts)
-        self.dirty_log.mark_counted(lo + np.flatnonzero(counts), int(lens.sum()))
 
     # -- migration plumbing ---------------------------------------------------------
 
     def read_pages(self, pfns: np.ndarray) -> np.ndarray:
-        """Page contents (versions) for transfer."""
-        return self.pages.read(pfns)
+        """Page contents (versions) for transfer — as of the dirty log's
+        replay tick while one is set (see DirtyLog.view_tick)."""
+        return self.dirty_log.versions_at(pfns, self.pages.read(pfns))
 
     def make_destination(self) -> "Domain":
         """An empty same-shape domain on the destination host."""

@@ -9,6 +9,7 @@ page versions, throughput samples, iteration records and final reports.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 
@@ -18,11 +19,18 @@ import pytest
 from repro.core import MigrationExperiment
 from repro.core.builders import build_java_vm
 from repro.core.supervisor import supervised_migrate
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, MigrationAbortedError, SimulationError
 from repro.faults import FaultPlan
+from repro.jvm.hotspot import JvmPhase
+from repro.migration.assisted import AssistedMigrator
+from repro.migration.javmm import JavmmMigrator
+from repro.migration.precopy import MigrationPhase, PrecopyMigrator
+from repro.net.link import Link
 from repro.sim import Actor, Engine, KERNEL_ENV_VAR, make_engine, resolve_kernel
 from repro.telemetry.attribution import assert_conserved
 from repro.units import MiB
+from repro.workloads.spec import WorkloadSpec
+from tests.conftest import build_tiny_vm
 
 
 def _ledgers(result) -> list[dict]:
@@ -562,3 +570,196 @@ def test_multiplexed_sessions_are_kernel_independent(tmp_path):
     _, fixed = _session_payloads("fixed", tmp_path, "x")
     _, event = _session_payloads("event", tmp_path, "x")
     assert fixed == event
+
+
+# -- race leaps ----------------------------------------------------------------------------
+#
+# The event kernel leaps through live pre-copy iterations: the guests
+# write a stretch of ticks with tick-stamped marks, then the daemon
+# replays one pump per tick against the stamped log.  These scenarios
+# push that replay to its edges — a pending set the guests can nearly
+# exhaust within a leap, and watchdog deadlines landing inside a
+# would-be leap — and require exact equality with the fixed kernel.
+
+#: A small VM whose mutators dirty pages fast relative to its pending
+#: sets, so the daemon's exhaustion bound is tight.
+HOT = WorkloadSpec(
+    name="hot",
+    description="high dirty rate test workload",
+    category=1,
+    alloc_mb_s=300.0,
+    survival_frac=0.05,
+    tenure_frac=0.10,
+    young_target_mb=32,
+    observed_old_mb=8,
+    old_write_mb_s=40.0,
+    old_ws_mb=6,
+    misc_mb_s=8.0,
+    ops_per_s=100.0,
+    gc_scale=1.0,
+    tts_enforced_s=0.05,
+)
+
+RACE_ENGINES = {
+    "xen": lambda d, n, l, j, **kw: PrecopyMigrator(d, n, **kw),
+    "assisted": lambda d, n, l, j, **kw: AssistedMigrator(d, n, l, **kw),
+    "javmm": lambda d, n, l, j, **kw: JavmmMigrator(d, n, l, jvms=[j], **kw),
+}
+
+
+def _race_run(kernel: str, engine_name: str, seed: int, sever_after_s: float | None = None,
+              **migrator_kwargs):
+    """A tiny hot VM migrated to completion (or abort), its link cut
+    *sever_after_s* into the migration if given; returns the outputs to
+    compare and the lengths of the race-leap replays."""
+    domain, guest, lkm, process, heap, jvm, agent = build_tiny_vm(spec=HOT, seed=seed)
+    sim = Engine(0.005, kernel=kernel)
+    for actor in (jvm, guest, lkm):
+        sim.add(actor)
+    link = Link()
+    mig = RACE_ENGINES[engine_name](domain, link, lkm, jvm, **migrator_kwargs)
+    sim.add(mig)
+    jvm.migration_load = mig
+    replays = []
+    replay = mig._replay_race
+
+    def counted(start_tick, ticks, dt):
+        replays.append(ticks)
+        replay(start_tick, ticks, dt)
+
+    mig._replay_race = counted
+    # The destination image at every iteration boundary: a page sent
+    # mid-leap must carry the version it had at its tick, even when a
+    # later tick of the leap rewrote it (the final image cannot show
+    # that — the rewrite is re-sent).
+    boundaries = []
+    begin = mig._begin_iteration
+
+    def recorded(now):
+        if mig.dest_domain is not None:
+            boundaries.append(hashlib.sha256(mig.dest_domain.pages.snapshot()).hexdigest())
+        begin(now)
+
+    mig._begin_iteration = recorded
+    sim.run_until(1.0)
+    mig.start(sim.now)
+    aborted = None
+    try:
+        if sever_after_s is not None:
+            sim.run_until(sim.now + sever_after_s)
+            link.sever()
+        sim.run_while(lambda: not mig.done, timeout=300.0)
+    except MigrationAbortedError as exc:
+        aborted = (str(exc), sim.now)
+    pages = (mig.dest_domain or domain).pages.snapshot()
+    outputs = (
+        mig.report.to_dict(),
+        assert_conserved(mig.report).to_dict(),
+        hashlib.sha256(pages.tobytes()).hexdigest(),
+        domain.pages.snapshot().tobytes(),
+        jvm.ops_completed,
+        boundaries,
+        aborted,
+    )
+    return outputs, replays
+
+
+@pytest.mark.parametrize("engine_name", sorted(RACE_ENGINES))
+@pytest.mark.parametrize("seed", [3, 11])
+def test_race_leaps_at_a_tight_exhaustion_bound(engine_name, seed):
+    fixed, _ = _race_run("fixed", engine_name, seed)
+    event, replays = _race_run("event", engine_name, seed)
+    assert fixed[0]["verified"] is True
+    assert replays, "the event kernel never leapt a live pre-copy tick"
+    assert fixed == event
+
+
+@pytest.mark.parametrize("engine_name", sorted(RACE_ENGINES))
+@pytest.mark.parametrize(
+    "watchdog, reason",
+    [
+        # lands inside what would otherwise be a long leap
+        ({"phase_timeouts": {"iterating": 0.1234}}, "deadline"),
+        # the daemon leaps through the outage (it plans no sends) until
+        # the stall watchdog fires
+        ({"stall_timeout_s": 0.4123, "sever_after_s": 0.3}, "no transfer progress"),
+    ],
+    ids=["phase-deadline", "stall"],
+)
+def test_race_leap_watchdog_deadlines_fire_on_the_same_tick(engine_name, watchdog, reason):
+    fixed, _ = _race_run("fixed", engine_name, 5, **watchdog)
+    event, replays = _race_run("event", engine_name, 5, **watchdog)
+    assert fixed[-1] is not None and reason in fixed[-1][0]
+    assert replays
+    assert fixed == event
+
+
+def test_race_leaps_cover_the_live_iterations():
+    """The optimisation cannot silently turn itself off: on derby/xen,
+    at least 90 % of the ticks spent ITERATING with the JVM running
+    are covered by leaps."""
+    engine, vm, mig = MigrationExperiment(
+        workload="derby", engine="xen", mem_bytes=MiB(512),
+        max_young_bytes=MiB(128), kernel="event", seed=7,
+    ).build()
+    engine.run_until(10.0)
+    mig.start(engine.now)
+    seen = {"ticks": 0, "leapt": 0}
+    advance = engine._advance
+
+    def counted(bound):
+        racing = (
+            mig.phase is MigrationPhase.ITERATING and vm.jvm.phase is JvmPhase.RUNNING
+        )
+        ticks = advance(bound)
+        if racing:
+            seen["ticks"] += ticks
+            seen["leapt"] += ticks - 1
+        return ticks
+
+    engine._advance = counted
+    engine.run_while(lambda: not mig.done, timeout=600.0)
+    assert mig.report.verified
+    assert seen["ticks"] > 1000
+    assert seen["leapt"] >= 0.9 * seen["ticks"], seen
+
+
+def test_unstamped_guest_writes_inside_a_race_leap_fail_loudly(monkeypatch):
+    domain, guest, lkm, process, heap, jvm, agent = build_tiny_vm(spec=HOT)
+    sim = Engine(0.005, kernel="event")
+    for actor in (jvm, guest, lkm):
+        sim.add(actor)
+    mig = PrecopyMigrator(domain, Link())
+    sim.add(mig)
+    jvm.migration_load = mig
+    sim.run_until(1.0)
+    mig.start(sim.now)
+    step_many = guest.step_many
+
+    def sloppy(start_tick, ticks, dt):
+        step_many(start_tick, ticks, dt)
+        domain.touch_range(0, 1)  # a write the replay cannot place in time
+
+    monkeypatch.setattr(guest, "step_many", sloppy)
+    with pytest.raises(SimulationError, match="unstamped"):
+        sim.run_while(lambda: not mig.done, timeout=300.0)
+
+
+def test_race_leap_replay_that_misses_its_plan_fails_loudly(monkeypatch):
+    domain, guest, lkm, process, heap, jvm, agent = build_tiny_vm(spec=HOT)
+    sim = Engine(0.005, kernel="event")
+    for actor in (jvm, guest, lkm):
+        sim.add(actor)
+    mig = PrecopyMigrator(domain, Link())
+    sim.add(mig)
+    jvm.migration_load = mig
+    sim.run_until(1.0)
+    mig.start(sim.now)
+    tick_plan = mig._tick_plan
+
+    def off_by_one(ticks, dt):
+        return [(sent + 1, wire) for sent, wire in tick_plan(ticks, dt)]
+
+    monkeypatch.setattr(mig, "_tick_plan", off_by_one)
+    with pytest.raises(SimulationError, match="diverged"):
+        sim.run_while(lambda: not mig.done, timeout=300.0)

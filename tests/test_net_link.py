@@ -138,3 +138,16 @@ def test_plain_link_latency_surface_is_neutral():
     assert link.control_rtt_s == 0.0
     assert link.iteration_floor_s(1 << 20) == 0.0
     assert link.watchdog_scale() == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.013, 0.25])
+def test_wire_cost_is_what_account_pages_records(loss):
+    link = Link()
+    link.set_loss_rate(loss)
+    for n, payload in ((1, PAGE_SIZE), (148, 148 * PAGE_SIZE), (7, 7 * 1843)):
+        wire, retrans = link.wire_cost(n, payload)
+        before = link.meter.wire_bytes
+        assert link.account_pages(n, payload_bytes=payload) == wire
+        assert link.last_retransmit_bytes == retrans
+        assert link.meter.wire_bytes - before == wire
+        assert (retrans > 0) == (loss > 0)

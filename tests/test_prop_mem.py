@@ -149,3 +149,133 @@ def test_pfn_cache_take_removes_exactly_queried(recorded, queried):
             assert list(got) == []
     remaining = set(recorded) - set(hit_vpns)
     assert set(map(int, cache.cached_vpns())) == remaining
+
+
+# -- exact O(1) accounting and vectorized views ------------------------------------------
+
+_bump_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("bump"), st.lists(st.integers(0, 31), max_size=8)),
+        st.tuples(st.just("range"), st.integers(0, 32), st.integers(0, 32)),
+        st.tuples(st.just("counts"), st.lists(st.integers(0, 31), max_size=8, unique=True),
+                  st.integers(0, 3)),
+        st.tuples(st.just("slice"), st.integers(0, 24), st.lists(st.integers(0, 3), max_size=8)),
+        st.tuples(st.just("write"), st.lists(st.integers(0, 31), max_size=8, unique=True),
+                  st.integers(0, 50)),
+        st.tuples(st.just("pickle")),
+    ),
+    max_size=30,
+)
+
+
+@given(_bump_ops)
+@settings(max_examples=150, deadline=None)
+def test_total_dirty_events_tracks_the_version_sum(ops):
+    import pickle
+
+    from repro.mem.versioned import VersionedPages
+
+    vp = VersionedPages(32)
+    for op in ops:
+        kind = op[0]
+        if kind == "bump":
+            vp.bump(np.asarray(op[1], dtype=np.int64))
+        elif kind == "range":
+            vp.bump_range(min(op[1], op[2]), max(op[1], op[2]))
+        elif kind == "counts":
+            pfns = np.asarray(op[1], dtype=np.int64)
+            vp.bump_counts(pfns, np.full(pfns.size, op[2], dtype=np.int64))
+        elif kind == "slice":
+            counts = np.asarray(op[2], dtype=np.int64)
+            vp.bump_slice_counts(op[1], counts)
+        elif kind == "write":
+            pfns = np.asarray(op[1], dtype=np.int64)
+            vp.write(pfns, np.full(pfns.size, op[2], dtype=np.int64))
+        else:
+            vp = pickle.loads(pickle.dumps(vp))
+        assert vp.total_dirty_events() == int(vp.snapshot().sum())
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), max_size=40),
+       st.integers(0, 2**31))
+@settings(max_examples=100, deadline=None)
+def test_frame_views_match_the_sorted_python_sets(steps, seed):
+    rng = np.random.default_rng(seed)
+    fa = FrameAllocator(rng.permutation(600).astype(np.int64))
+    held: list[int] = []
+    for grab, n in steps:
+        if grab and n <= fa.free_frames:
+            held.extend(fa.alloc(n).tolist())
+        elif held:
+            k = min(n, len(held))
+            idx = rng.choice(len(held), size=k, replace=False)
+            fa.free(np.asarray([held[i] for i in idx], dtype=np.int64))
+            held = [p for i, p in enumerate(held) if i not in set(idx.tolist())]
+        assert np.array_equal(
+            fa.free_pfns(), np.asarray(sorted(int(p) for p in fa._free), dtype=np.int64)
+        )
+        assert np.array_equal(
+            fa.allocated_pfns(), np.asarray(sorted(fa._allocated), dtype=np.int64)
+        )
+        assert fa.free_pfns().dtype == np.int64 == fa.allocated_pfns().dtype
+
+
+@given(st.lists(st.tuples(st.integers(0, 60), st.integers(1, 12)), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 80), st.integers(0, 30)), max_size=20),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_bisected_walk_matches_page_by_page_translation(maps, walks, unmap_some):
+    pt = PageTable()
+    next_pfn = 1000
+    for start, n in maps:
+        try:
+            pt.map_range(VARange(start * PAGE_SIZE, (start + n) * PAGE_SIZE),
+                         np.arange(next_pfn, next_pfn + n))
+        except Exception:
+            continue  # overlapping request
+        next_pfn += n
+    if unmap_some and pt.mapped_ranges():
+        first = pt.mapped_ranges()[0]
+        pt.unmap_range(VARange(first.start, first.start + PAGE_SIZE))
+    for start, n in walks:
+        expect = [pt.translate(v * PAGE_SIZE) for v in range(start, start + n)
+                  if pt.is_mapped(v * PAGE_SIZE)]
+        got = pt.walk(VARange(start * PAGE_SIZE, (start + n) * PAGE_SIZE))
+        assert got.tolist() == expect
+        assert np.array_equal(pt.walk((start, start + n)), got)
+
+
+def _cover_reference(first, end, ticks):
+    lo, hi = int(first.min()), int(end.max())
+    counts = np.zeros(hi - lo, dtype=np.int64)
+    earliest = np.full(hi - lo, np.iinfo(np.int64).max, dtype=np.int64)
+    for f, e, t in zip(first.tolist(), end.tolist(), ticks.tolist()):
+        counts[f - lo : e - lo] += 1
+        earliest[f - lo : e - lo] = np.minimum(earliest[f - lo : e - lo], t)
+    return lo, counts, earliest
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 6), st.integers(0, 9)),
+                min_size=1, max_size=10),
+       st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cover_counts_and_earliest_ticks(spans, chain):
+    from repro.mem.address import cover
+
+    spans = sorted(spans) if chain else spans
+    first = np.asarray([s for s, _, _ in spans], dtype=np.int64)
+    end = first + np.asarray([n for _, n, _ in spans], dtype=np.int64)
+    ticks = np.asarray([t for _, _, t in spans], dtype=np.int64)
+    if chain:
+        # the JVM's bump-pointer shape: each span starts at most one unit
+        # before its predecessor ends, in tick order
+        for i in range(1, first.size):
+            first[i] = max(first[i], end[i - 1] - 1)
+            end[i] = max(end[i], first[i] + 1)
+        ticks = np.sort(ticks)
+    lo, counts, earliest = cover(first, end, ticks)
+    ref = _cover_reference(first, end, ticks)
+    assert lo == ref[0]
+    assert np.array_equal(counts, ref[1])
+    assert np.array_equal(earliest, ref[2])
+    assert np.array_equal(cover(first, end)[1], ref[1])
