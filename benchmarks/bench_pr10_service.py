@@ -38,7 +38,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.service import MigrationManager, SessionConfig, run_standalone
+from repro.service import MigrationConfig, MigrationManager, run_standalone
 
 #: the gated fleet size ("at least 64 concurrent sessions")
 FLEET = 64
@@ -50,11 +50,11 @@ OVERHEAD_GATE_PCT = 10.0
 WORKLOADS = ("derby", "crypto", "scimark")
 
 
-def fleet_configs(n: int = FLEET) -> list[SessionConfig]:
+def fleet_configs(n: int = FLEET) -> list[MigrationConfig]:
     """*n* distinct small configs: workloads round-robined, every
     eighth session supervised, seeds all different."""
     return [
-        SessionConfig(
+        MigrationConfig(
             workload=WORKLOADS[i % len(WORKLOADS)],
             mem_mb=512,
             young_mb=128,
@@ -65,7 +65,7 @@ def fleet_configs(n: int = FLEET) -> list[SessionConfig]:
     ]
 
 
-def _measures(config: SessionConfig, payload: dict) -> dict:
+def _measures(config: MigrationConfig, payload: dict) -> dict:
     """The simulated measures of one finished session, flattened for
     the ``check-bench`` comparator (supervised payloads nest theirs)."""
     report = payload["report"] if config.supervise else payload
@@ -79,14 +79,14 @@ def _measures(config: SessionConfig, payload: dict) -> dict:
     }
 
 
-def _sequential(configs: list[SessionConfig]) -> tuple[float, list[dict]]:
+def _sequential(configs: list[MigrationConfig]) -> tuple[float, list[dict]]:
     gc.collect()  # deterministic collector state at the leg boundary
     t0 = time.perf_counter()
     payloads = [run_standalone(config) for config in configs]
     return time.perf_counter() - t0, payloads
 
 
-def _multiplexed(configs: list[SessionConfig]) -> tuple[float, list[dict]]:
+def _multiplexed(configs: list[MigrationConfig]) -> tuple[float, list[dict]]:
     """All *configs* live at once under one memoryless manager (the
     perf leg isolates multiplexing cost: no sinks, no checkpoints —
     those carry their own gated benches, PR 9 and PR 6)."""
@@ -99,7 +99,7 @@ def _multiplexed(configs: list[SessionConfig]) -> tuple[float, list[dict]]:
     return elapsed, [manager.session(sid).result_payload for sid in ids]
 
 
-def _kill_resume_leg(configs: list[SessionConfig]) -> bool:
+def _kill_resume_leg(configs: list[MigrationConfig]) -> bool:
     """Root-backed fleet, abandoned mid-flight, recovered, drained:
     True iff every payload still matches its standalone run."""
     with tempfile.TemporaryDirectory(prefix="bench-pr10-") as tmp:
@@ -162,9 +162,9 @@ def main(out_path: "str | None" = None) -> int:
 
     resume_ok = _kill_resume_leg(
         [
-            SessionConfig(workload="derby", mem_mb=512, young_mb=128, seed=7),
-            SessionConfig(workload="scimark", mem_mb=512, young_mb=128, seed=11),
-            SessionConfig(
+            MigrationConfig(workload="derby", mem_mb=512, young_mb=128, seed=7),
+            MigrationConfig(workload="scimark", mem_mb=512, young_mb=128, seed=11),
+            MigrationConfig(
                 workload="derby", mem_mb=512, young_mb=128, seed=13,
                 supervise=True,
             ),

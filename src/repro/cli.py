@@ -46,6 +46,7 @@ import json
 import os
 import sys
 
+from repro.errors import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.sim.engine import KERNEL_ENV_VAR, KERNELS
 
@@ -315,16 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     service.add_argument(
         "--warmup-s",
         type=float,
-        default=6.0,
+        default=None,
         metavar="SECONDS",
-        help="ctl submit: session warm-up (default: %(default)s)",
+        help="migrate/trace/ctl submit: simulated warm-up (default: 20; "
+        "5 with --supervise/--wan; 6 for ctl submit)",
     )
     service.add_argument(
         "--cooldown-s",
         type=float,
-        default=3.0,
+        default=None,
         metavar="SECONDS",
-        help="ctl submit: session cool-down (default: %(default)s)",
+        help="migrate/trace/ctl submit: simulated cool-down (default: 10; "
+        "none when supervised; 3 for ctl submit)",
     )
     service.add_argument(
         "--session-name",
@@ -401,34 +404,6 @@ def _write_telemetry_outputs(
         print(f"wrote {n} telemetry records: {args.telemetry_out}", file=sys.stderr)
 
 
-def _attribute_reports(reports, migrator=None) -> "tuple[list[dict], list[str]]":
-    """Ledgers plus every conservation violation for one run's reports.
-
-    When the migrator is at hand its link meter is reconciled too; the
-    CLI owns the link for the whole run, so the meter's category totals
-    must match the summed report ledgers exactly.
-    """
-    from repro.telemetry.attribution import attribute_report, audit_meter
-
-    ledgers = []
-    violations: list[str] = []
-    for report in reports:
-        if report is None:
-            continue
-        led = attribute_report(report)
-        ledgers.append(led.to_dict())
-        violations.extend(
-            f"attempt {led.attempt}: {v}" for v in led.violations
-        )
-    link = getattr(migrator, "link", None)
-    if link is not None:
-        violations.extend(
-            f"meter: {v}"
-            for v in audit_meter(link.meter, [r for r in reports if r is not None])
-        )
-    return ledgers, violations
-
-
 def _audit_verdict(args: argparse.Namespace, violations: list[str]) -> int | None:
     """In ``--audit`` mode a conservation violation is fatal (exit 3)."""
     if not args.audit:
@@ -440,20 +415,6 @@ def _audit_verdict(args: argparse.Namespace, violations: list[str]) -> int | Non
         return 3
     print("attribution audit: conserved", file=sys.stderr)
     return None
-
-
-def _final_digest(vm, report) -> str:
-    """sha256 over page versions + analyzer samples + report JSON.
-
-    Equal digests mean the two runs ended in bit-identical simulated
-    state — the chaos harness compares a crashed-and-resumed run to an
-    uninterrupted one this way across a process boundary.  The service
-    layer compares multiplexed sessions to standalone runs with the
-    same function.
-    """
-    from repro.service.session import run_digest
-
-    return run_digest(vm, report)
 
 
 def _checkpointer(args: argparse.Namespace, config: dict):
@@ -473,147 +434,103 @@ def _checkpointer(args: argparse.Namespace, config: dict):
 
 
 def _print_supervised(args: argparse.Namespace, result, vm, sink=None) -> int:
-    ledgers, violations = _attribute_reports(
-        [rec.report for rec in result.attempts], migrator=result.migrator
-    )
-    _write_telemetry_outputs(args, vm.probe, attributions=ledgers, sink=sink)
-    if args.experiment == "trace" and vm.probe.enabled:
-        print(vm.probe.tracer.phase_table())
-    if args.json:
-        payload = {
-            "ok": result.ok,
-            "engine": result.engine,
-            "n_attempts": result.n_attempts,
-            "engines_tried": result.degradations,
-            "attempts": [
-                {
-                    "attempt": rec.attempt,
-                    "engine": rec.engine,
-                    "aborted": rec.aborted,
-                    "reason": rec.reason,
-                    "waited_before_s": rec.waited_before_s,
-                }
-                for rec in result.attempts
-            ],
-            "report": result.report.to_dict() if result.report else None,
-            "rescues": list(result.rescues),
-            "attribution": ledgers,
-        }
-        if args.digest:
-            payload["final_digest"] = _final_digest(vm, result.report)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.summary())
-        if result.report is not None:
-            print(result.report.summary())
-        if args.audit and ledgers:
-            from repro.viz import attribution_waterfall
+    from repro.service.session import supervised_payload
 
-            print(attribution_waterfall(ledgers[-1]))
-    verdict = _audit_verdict(args, violations)
-    if verdict is not None:
-        return verdict
-    return 0 if result.ok and result.report and result.report.verified else 1
+    link = getattr(result.migrator, "link", None)
+    payload = supervised_payload(result, vm, link=link, digest=args.digest)
+    summary = [result.summary()]
+    if result.report is not None:
+        summary.append(result.report.summary())
+    verified = result.ok and result.report and result.report.verified
+    return _print_run(args, payload, vm.probe, summary, verified, sink)
 
 
-def _run_supervised(args: argparse.Namespace) -> int:
-    from repro.core import supervised_migrate
-    from repro.units import MiB
-
-    engine = "javmm" if args.engine == "auto" else args.engine
-    telemetry = _telemetry_requested(args) or args.experiment == "trace"
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.checkpoint import CheckpointConfig
-
-        checkpoint = CheckpointConfig(
-            directory=args.checkpoint_dir,
-            every_s=args.checkpoint_every,
-            max_overhead=(
-                None
-                if args.checkpoint_budget <= 0
-                else args.checkpoint_budget / 100.0
-            ),
-        )
-    extra: dict = {}
-    if args.wan:
-        from repro.net import wan_link
-
-        extra["link"] = wan_link(args.wan, seed=args.seed)
-    if args.no_rescue:
-        extra["rescue"] = False
-        extra["scale_timeouts"] = False
-    sink = _make_sink(args)
-    result, vm = supervised_migrate(
-        workload=args.workload,
-        engine_name=engine,
-        seed=args.seed,
-        vm_kwargs={
-            "mem_bytes": MiB(args.mem_mb),
-            "max_young_bytes": MiB(args.young_mb),
-        },
-        max_attempts=args.max_attempts,
-        telemetry=telemetry,
-        checkpoint=checkpoint,
-        telemetry_sink=sink,
-        **extra,
-    )
-    return _print_supervised(args, result, vm, sink=sink)
-
-
-def _print_migrate(args: argparse.Namespace, result, vm, migrator=None,
+def _print_migrate(args: argparse.Namespace, result, vm, link=None,
                    sink=None) -> int:
-    ledgers, violations = _attribute_reports([result.report], migrator=migrator)
-    _write_telemetry_outputs(args, result.probe, attributions=ledgers, sink=sink)
-    if args.experiment == "trace" and result.probe is not None and result.probe.enabled:
-        print(result.probe.tracer.phase_table())
+    from repro.service.session import experiment_payload
+
+    payload = experiment_payload(result, vm, link=link, digest=args.digest)
+    summary = [result.report.summary()]
+    if result.policy_decision is not None:
+        summary.insert(0, f"policy: chose {result.engine} — {result.policy_decision.reason}")
+    return _print_run(args, payload, result.probe, summary,
+                      result.report.verified, sink)
+
+
+def _print_run(args: argparse.Namespace, payload: dict, probe,
+               summary: list[str], verified: bool, sink=None) -> int:
+    """Exports, then the JSON payload or the text summary, then the
+    audit verdict; exit 0 iff the migration verified."""
+    ledgers = payload["attribution"]
+    _write_telemetry_outputs(args, probe, attributions=ledgers, sink=sink)
+    if args.experiment == "trace" and probe is not None and probe.enabled:
+        print(probe.tracer.phase_table())
     if args.json:
-        payload = result.report.to_dict()
-        payload["workload"] = result.workload
-        payload["engine"] = result.engine
-        payload["observed_app_downtime_s"] = result.observed_app_downtime_s
-        payload["attribution"] = ledgers
-        if args.digest:
-            payload["final_digest"] = _final_digest(vm, result.report)
         print(json.dumps(payload, indent=2))
     else:
-        if result.policy_decision is not None:
-            print(f"policy: chose {result.engine} — {result.policy_decision.reason}")
-        print(result.report.summary())
+        print("\n".join(summary))
         if args.audit and ledgers:
             from repro.viz import attribution_waterfall
 
             print(attribution_waterfall(ledgers[-1]))
-    verdict = _audit_verdict(args, violations)
+    verdict = _audit_verdict(args, payload["conservation_violations"])
     if verdict is not None:
         return verdict
-    return 0 if result.report.verified else 1
+    return 0 if verified else 1
+
+
+#: (warm-up, cool-down) simulated seconds when --warmup-s/--cooldown-s
+#: are omitted: each verb keeps the values it has always run with
+#: (supervised runs have no cool-down phase)
+_PHASE_DEFAULTS = {
+    "migrate": (20.0, 10.0),
+    "supervise": (5.0, 10.0),
+    "submit": (6.0, 3.0),
+}
+
+
+def _migration_config(args: argparse.Namespace, verb: str = "migrate"):
+    """The one validated MigrationConfig a migrate/trace/ctl-submit
+    invocation describes; raises ConfigurationError on a bad flag."""
+    from repro.core.config import MigrationConfig
+
+    if verb == "migrate" and (args.supervise or args.wan):
+        verb = "supervise"
+    warmup_s, cooldown_s = _PHASE_DEFAULTS[verb]
+    return MigrationConfig(
+        workload=args.workload,
+        engine=args.engine,
+        mem_mb=args.mem_mb,
+        young_mb=args.young_mb,
+        warmup_s=warmup_s if args.warmup_s is None else args.warmup_s,
+        cooldown_s=cooldown_s if args.cooldown_s is None else args.cooldown_s,
+        kernel=args.kernel,
+        seed=args.seed,
+        supervise=args.supervise,
+        wan=args.wan,
+        max_attempts=args.max_attempts,
+        telemetry=(
+            not args.no_session_telemetry
+            if verb == "submit"
+            else _telemetry_requested(args) or args.experiment == "trace"
+        ),
+        name=args.session_name,
+    )
 
 
 def _run_migrate(args: argparse.Namespace) -> int:
-    from repro.core import MigrationExperiment
-    from repro.core.experiment import ExperimentRun
-    from repro.units import MiB
-
-    if args.supervise or args.wan:
-        return _run_supervised(args)
-    telemetry = _telemetry_requested(args) or args.experiment == "trace"
-    experiment = MigrationExperiment(
-        workload=args.workload,
-        engine=args.engine,
-        mem_bytes=MiB(args.mem_mb),
-        max_young_bytes=MiB(args.young_mb),
-        seed=args.seed,
-        telemetry=telemetry,
+    config = _migration_config(args)
+    supervisor_kwargs = (
+        {"rescue": False, "scale_timeouts": False}
+        if config.supervise and args.no_rescue
+        else {}
     )
-    run = ExperimentRun(experiment)
     sink = _make_sink(args)
-    if sink is not None and run.vm.probe.enabled:
-        run.vm.probe.sink = sink
-        if run.vm.event_log is not None:
-            run.vm.event_log.sink = sink
-    result = run.run(_checkpointer(args, experiment.config_fingerprint()))
-    return _print_migrate(args, result, run.vm, migrator=run.migrator, sink=sink)
+    driver = config.build_driver(sink, **supervisor_kwargs)
+    result = driver.run(_checkpointer(args, config.fingerprint()))
+    if config.supervise:
+        return _print_supervised(args, result, driver.vm, sink=sink)
+    return _print_migrate(args, result, driver.vm, link=driver.link, sink=sink)
 
 
 def _run_resume(args: argparse.Namespace) -> int:
@@ -635,9 +552,7 @@ def _run_resume(args: argparse.Namespace) -> int:
         return _print_supervised(args, result, vm)
     if isinstance(controller, ExperimentRun):
         result = controller.run(checkpointer)
-        return _print_migrate(
-            args, result, controller.vm, migrator=controller.migrator
-        )
+        return _print_migrate(args, result, controller.vm, link=controller.link)
     print(
         f"checkpoint holds an unresumable {type(controller).__name__} root",
         file=sys.stderr,
@@ -854,25 +769,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_config(args: argparse.Namespace) -> dict:
-    """One SessionConfig from the migrate-flag surface."""
-    return {
-        "workload": args.workload,
-        "engine": args.engine,
-        "mem_mb": args.mem_mb,
-        "young_mb": args.young_mb,
-        "warmup_s": args.warmup_s,
-        "cooldown_s": args.cooldown_s,
-        "kernel": args.kernel,
-        "seed": args.seed,
-        "supervise": args.supervise,
-        "wan": args.wan,
-        "max_attempts": args.max_attempts,
-        "telemetry": not args.no_session_telemetry,
-        "name": args.session_name,
-    }
-
-
 def _run_ctl(args: argparse.Namespace) -> int:
     """Send one control verb to a running daemon."""
     from repro.service import RequestFailed, ServiceClient, ServiceUnavailable
@@ -889,7 +785,8 @@ def _run_ctl(args: argparse.Namespace) -> int:
     client = ServiceClient(args.service_dir)
     try:
         if verb == "submit":
-            response = client.request("submit", config=_submit_config(args))
+            config = _migration_config(args, "submit")
+            response = client.request("submit", config=config.to_dict())
             print(response["id"])
             return 0
         if verb in ("status", "list"):
@@ -974,6 +871,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.kernel:
         # Every engine is built through make_engine(), which reads this.
         os.environ[KERNEL_ENV_VAR] = args.kernel
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "doctor":
         return _run_doctor(args)
     if args.experiment == "compare":

@@ -13,11 +13,14 @@ Typical use::
 - :func:`choose_engine` — the Section 6 "intelligent framework" policy.
 - :class:`MigrationSupervisor` — retry an aborted migration with
   backoff, degrading ``javmm`` → ``assisted`` → ``xen``.
+- :class:`MigrationConfig` — one validated, JSON-shaped migration
+  description; the CLI and the service build every driver from it.
 """
 
 from repro.core.api import migrate, migrate_full
 from repro.core.auto import ObservedProfile, choose_engine_live, profile_vm
 from repro.core.builders import JavaVM, build_java_vm, make_migrator
+from repro.core.config import MigrationConfig
 from repro.core.evacuation import EvacuationReport, HostEvacuation, VMPlan
 from repro.core.experiment import ExperimentResult, MigrationExperiment
 from repro.core.policy import PolicyDecision, choose_engine
@@ -34,6 +37,7 @@ __all__ = [
     "ExperimentResult",
     "HostEvacuation",
     "JavaVM",
+    "MigrationConfig",
     "MigrationExperiment",
     "MigrationSupervisor",
     "ObservedProfile",

@@ -14,25 +14,12 @@ from repro.migration.report import MigrationReport
 from repro.units import GiB
 
 
-def migrate(
-    workload: str = "derby",
-    engine: str = "javmm",
-    mem_bytes: int = GiB(2),
-    max_young_bytes: int = GiB(1),
-    warmup_s: float = 15.0,
-    seed: int = 20150421,
-    **kwargs,
-) -> MigrationReport:
-    """Run one migration with the paper's defaults; returns its report."""
-    return migrate_full(
-        workload=workload,
-        engine=engine,
-        mem_bytes=mem_bytes,
-        max_young_bytes=max_young_bytes,
-        warmup_s=warmup_s,
-        seed=seed,
-        **kwargs,
-    ).report
+def migrate(*args, **kwargs) -> MigrationReport:
+    """Run one migration with the paper's defaults; returns its report.
+
+    Takes the arguments of :func:`migrate_full`.
+    """
+    return migrate_full(*args, **kwargs).report
 
 
 def migrate_full(
@@ -44,7 +31,9 @@ def migrate_full(
     seed: int = 20150421,
     **kwargs,
 ) -> ExperimentResult:
-    """Like :func:`migrate` but returns the full experiment result."""
+    """Run one migration with the paper's defaults (extra keyword
+    arguments reach :class:`MigrationExperiment`); returns the full
+    experiment result."""
     return MigrationExperiment(
         workload=workload,
         engine=engine,

@@ -89,6 +89,20 @@ class JavaVM:
             engine.add(actor)
         return engine
 
+    def attach_sink(self, sink) -> None:
+        """Mirror the probe's instants/samples and the event log onto a
+        :class:`~repro.telemetry.live.StreamSink` as they happen."""
+        if sink is not None and self.probe.enabled:
+            self.probe.sink = sink
+            if self.event_log is not None:
+                self.event_log.sink = sink
+
+
+def default_max_old_bytes(mem_bytes: int, max_young_bytes: int) -> int:
+    """Old-generation room left in a *mem_bytes* guest (<= 0: none)."""
+    return (mem_bytes - DEFAULT_KERNEL_RESERVED_BYTES - _JVM_MISC_BYTES
+            - max_young_bytes - _HEAP_SLACK_BYTES)
+
 
 def build_java_vm(
     workload: str | WorkloadSpec = "derby",
@@ -113,13 +127,7 @@ def build_java_vm(
     process = kernel.spawn(f"java-{spec.name}")
 
     if max_old_bytes is None:
-        max_old_bytes = (
-            mem_bytes
-            - DEFAULT_KERNEL_RESERVED_BYTES
-            - _JVM_MISC_BYTES
-            - max_young_bytes
-            - _HEAP_SLACK_BYTES
-        )
+        max_old_bytes = default_max_old_bytes(mem_bytes, max_young_bytes)
     if max_old_bytes <= 0:
         raise ConfigurationError(
             f"no room for an Old generation: {mem_bytes >> 20} MiB VM with a "

@@ -718,10 +718,7 @@ class SupervisedRun:
         self.vm = build_java_vm(
             workload=workload, seed=seed, telemetry=telemetry, **self.vm_kwargs
         )
-        if telemetry_sink is not None and self.vm.probe.enabled:
-            self.vm.probe.sink = telemetry_sink
-            if self.vm.event_log is not None:
-                self.vm.event_log.sink = telemetry_sink
+        self.vm.attach_sink(telemetry_sink)
         self.vm.register(self.engine)
         self.link = link or Link()
         self.supervisor: MigrationSupervisor | None = None

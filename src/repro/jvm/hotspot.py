@@ -51,23 +51,6 @@ def _ticks_to_cross(timer: float, dt: float, cap: int = 1_000_000) -> int | None
     return ticks
 
 
-class _UnplannedLoad:
-    """A bare ``() -> float`` load callable: no plan of future ticks.
-
-    The JVM treats its value as constant across a leap and abstains
-    while it is nonzero (see :meth:`HotSpotJVM.next_event`).
-    """
-
-    def __init__(self, fn: Callable[[], float]) -> None:
-        self.load_fraction = fn
-
-    def load_plan(self, ticks: int) -> np.ndarray:
-        return np.full(ticks, self.load_fraction())
-
-    def load_floor(self) -> float:
-        return self.load_fraction()
-
-
 class JvmPhase(enum.Enum):
     RUNNING = "running"
     TTS = "time-to-safepoint"
@@ -148,17 +131,11 @@ class HotSpotJVM(Actor):
         capacity used in the previous tick, ``load_plan(ticks)`` the
         load each of the next *ticks* ticks will see (``None`` when the
         daemon cannot plan) and ``load_floor()`` the least load a
-        planned tick can leave.  A bare ``() -> float`` callable is
-        accepted too; it plans nothing."""
+        planned tick can leave."""
         return self._load
 
     @migration_load.setter
     def migration_load(self, hook) -> None:
-        owner = getattr(hook, "__self__", None)
-        if getattr(hook, "__name__", "") == "load_fraction" and hasattr(owner, "load_plan"):
-            hook = owner  # a daemon's bound load_fraction: use the daemon
-        elif hook is not None and not hasattr(hook, "load_plan"):
-            hook = _UnplannedLoad(hook)
         self._load = hook
 
     # -- control (TI agent entry points) ------------------------------------------------
@@ -213,9 +190,6 @@ class HotSpotJVM(Actor):
             return None
         if self._domain_paused() or self.phase is JvmPhase.HELD:
             return math.inf
-        if isinstance(self._load, _UnplannedLoad) and self._load.load_fraction() != 0.0:
-            # An unplanned load may change under a leap; stay on the grid.
-            return None
         if self.phase is JvmPhase.GC or self.phase is JvmPhase.TTS:
             k = _ticks_to_cross(self._timer, dt)
             if k is None:

@@ -13,23 +13,23 @@ session's report, page versions and ledger are bit-identical to the
 same config run standalone (see DESIGN.md §9).
 """
 
+from repro.core.config import MigrationConfig
 from repro.service.client import RequestFailed, ServiceClient, ServiceUnavailable
 from repro.service.manager import MigrationManager
 from repro.service.session import (
     MigrationSession,
-    SessionConfig,
     SessionError,
     run_digest,
     run_standalone,
 )
 
 __all__ = [
+    "MigrationConfig",
     "MigrationManager",
     "MigrationSession",
     "RequestFailed",
     "ServiceClient",
     "ServiceUnavailable",
-    "SessionConfig",
     "SessionError",
     "run_digest",
     "run_standalone",

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import os
 
+from repro.core.config import MigrationConfig
 from repro.service.session import (
     ACTIVE_STATES,
     QUEUED,
     RUNNING,
     MigrationSession,
-    SessionConfig,
     SessionError,
 )
 
@@ -70,16 +70,20 @@ class MigrationManager:
             return None
         return os.path.join(self.root_dir, "sessions", session_id)
 
-    def _new_id(self, config: SessionConfig) -> str:
+    def _new_id(self, config: MigrationConfig) -> str:
         self._counter += 1
         label = config.name or config.workload
-        safe = "".join(c if c.isalnum() or c in "-_" else "-" for c in label)
+        safe = "".join(
+            c if c.isascii() and c.isalnum() or c in "-_" else "-" for c in label
+        )
         return f"s{self._counter:04d}-{safe}"
 
-    def submit(self, config: SessionConfig | dict) -> str:
-        """Queue one migration; returns its session id."""
-        if isinstance(config, dict):
-            config = SessionConfig.from_dict(config)
+    def submit(self, config: MigrationConfig | dict) -> str:
+        """Queue one migration; returns its session id.  A dict is
+        validated into a :class:`MigrationConfig` first (the socket's
+        JSON); a bad one raises :class:`~repro.errors.ConfigurationError`."""
+        if not isinstance(config, MigrationConfig):
+            config = MigrationConfig.from_dict(config)
         session_id = self._new_id(config)
         while session_id in self.sessions:  # counter reseeded after recover
             self._counter += 1

@@ -25,10 +25,25 @@ from __future__ import annotations
 
 import asyncio
 import os
+import traceback
 
+from repro.errors import ConfigurationError
 from repro.service import protocol
 from repro.service.manager import MigrationManager
 from repro.service.session import SessionError
+
+
+async def _skip_line(reader, consumed: int) -> None:
+    """Drop the rest of an over-long line, its newline included."""
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 class ServiceDaemon:
@@ -50,10 +65,16 @@ class ServiceDaemon:
 
         Synchronous on purpose: it runs between scheduler slices on the
         event-loop thread, so every verb sees a quiescent simulation.
+        Never raises: every failure becomes an ``ok: false`` reply.
         """
         op = request.get("op")
         if op not in protocol.VERBS:
             return protocol.error(f"unknown op {op!r}")
+        session_id = request.get("id")
+        reason = request.get("reason")
+        for field, value in (("id", session_id), ("reason", reason)):
+            if value is not None and not isinstance(value, str):
+                return protocol.error(f"{field} must be a string, got {value!r}")
         manager = self.manager
         try:
             if op == "ping":
@@ -66,7 +87,6 @@ class ServiceDaemon:
                 session_id = manager.submit(request.get("config", {}))
                 return protocol.ok(id=session_id)
             if op in ("status", "list"):
-                session_id = request.get("id")
                 if op == "list" or session_id is None:
                     return protocol.ok(sessions=manager.status())
                 return protocol.ok(session=manager.status(session_id))
@@ -80,7 +100,6 @@ class ServiceDaemon:
             if op == "shutdown":
                 self._stop.set()
                 return protocol.ok(stopping=True)
-            session_id = request.get("id")
             if not session_id:
                 return protocol.error(f"op {op!r} needs a session id")
             if op == "pause":
@@ -91,30 +110,41 @@ class ServiceDaemon:
                 return protocol.ok(session=manager.stop_and_copy(session_id))
             if op == "abort":
                 return protocol.ok(
-                    session=manager.abort(
-                        session_id, request.get("reason", "operator abort")
-                    )
+                    session=manager.abort(session_id, reason or "operator abort")
                 )
             if op == "finalize":
                 return protocol.ok(result=manager.finalize(session_id))
-        except SessionError as exc:
+        except ConfigurationError as exc:  # SessionError included
             return protocol.error(str(exc))
+        except Exception as exc:  # noqa: BLE001 — the socket always answers
+            traceback.print_exc()  # a daemon bug: keep the trace on stderr
+            return protocol.error(f"{type(exc).__name__}: {exc}")
         return protocol.error(f"unhandled op {op!r}")  # pragma: no cover
 
     # -- the loop -----------------------------------------------------------------------
 
+    def _answer(self, line: bytes) -> dict:
+        try:
+            request = protocol.decode(line)
+        except (ValueError, RecursionError) as exc:  # not JSON / not UTF-8
+            return protocol.error(f"bad request: {exc}")
+        return self.handle(request)
+
     async def _client(self, reader, writer) -> None:
         try:
             while not self._stop.is_set():
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
-                    request = protocol.decode(line)
-                except ValueError as exc:
-                    response = protocol.error(f"bad request: {exc}")
-                else:
-                    response = self.handle(request)
+                    response = self._answer(await reader.readuntil(b"\n"))
+                except asyncio.IncompleteReadError as exc:
+                    if not exc.partial:
+                        break
+                    # EOF after a last, unterminated request
+                    response = self._answer(exc.partial)
+                except asyncio.LimitOverrunError as exc:
+                    await _skip_line(reader, exc.consumed)
+                    response = protocol.error(
+                        "bad request: line longer than the stream limit"
+                    )
                 writer.write(protocol.encode(response))
                 await writer.drain()
         finally:

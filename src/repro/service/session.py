@@ -13,7 +13,7 @@ The correctness contract is the repo's standard one: because a session
 only ever *tightens* engine-advance bounds at slice boundaries (the
 PR 6 invariant), a session's final report, page-version array and
 attribution ledger are bit-identical to the same
-:class:`SessionConfig` run standalone through
+:class:`~repro.core.config.MigrationConfig` run standalone through
 :func:`run_standalone` — the kernel-equivalence suite and
 ``bench_pr10_service.py`` both enforce the digest equality.
 
@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
+from repro.core.config import MigrationConfig
 from repro.errors import ConfigurationError
-from repro.units import MiB
 
 # -- lifecycle states -------------------------------------------------------------------
 
@@ -53,133 +53,6 @@ TERMINAL_STATES = (DONE, ABORTED, FAILED)
 
 class SessionError(ConfigurationError):
     """An illegal control verb for the session's current state."""
-
-
-@dataclass
-class SessionConfig:
-    """The JSON-shaped description of one migration to run.
-
-    This is the unit the socket protocol submits, the admin record
-    persists, and :func:`run_standalone` replays — one schema for the
-    daemon path and the equivalence oracle.
-    """
-
-    workload: str = "derby"
-    engine: str = "javmm"
-    mem_mb: int = 512
-    young_mb: int = 128
-    warmup_s: float = 6.0
-    cooldown_s: float = 3.0
-    dt: float = 0.005
-    kernel: str | None = None
-    seed: int = 20150421
-    migration_timeout_s: float = 600.0
-    #: drive through MigrationSupervisor (retry/backoff/degrade/rescue)
-    supervise: bool = False
-    #: WAN profile name (implies supervise; matches ``repro migrate --wan``)
-    wan: str | None = None
-    max_attempts: int = 4
-    #: stream spans/samples/events to the session's telemetry.jsonl
-    telemetry: bool = True
-    #: free-form operator label, surfaced by status/watch
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.wan:
-            self.supervise = True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SessionConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise SessionError(
-                f"unknown session config fields: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
-
-    # -- the builders both the session and the standalone twin share --------------------
-
-    def vm_kwargs(self) -> dict:
-        return {
-            "mem_bytes": MiB(self.mem_mb),
-            "max_young_bytes": MiB(self.young_mb),
-        }
-
-    def make_link(self):
-        """A fresh link — seeded WAN or plain LAN — for one run."""
-        if self.wan:
-            from repro.net import wan_link
-
-            return wan_link(self.wan, seed=self.seed)
-        return None  # drivers default to a plain Link()
-
-    def fingerprint(self) -> dict:
-        """The scalar config hashed into this session's checkpoint
-        manifests, so a restarted daemon refuses to resume a session
-        directory into a different config."""
-        if self.supervise:
-            from repro.core.supervisor import supervised_config_fingerprint
-
-            fp = supervised_config_fingerprint(
-                self.workload, self._engine_name(), None,
-                self.warmup_s, self.dt, self.seed, self.vm_kwargs(),
-            )
-            fp["wan"] = self.wan or ""
-            fp["max_attempts"] = self.max_attempts
-            return fp
-        return self._experiment().config_fingerprint()
-
-    def _engine_name(self) -> str:
-        # The supervisor has no "auto" mode; mirror the CLI's mapping.
-        return "javmm" if self.engine == "auto" else self.engine
-
-    def _experiment(self):
-        from repro.core import MigrationExperiment
-
-        return MigrationExperiment(
-            workload=self.workload,
-            engine=self.engine,
-            mem_bytes=MiB(self.mem_mb),
-            max_young_bytes=MiB(self.young_mb),
-            warmup_s=self.warmup_s,
-            cooldown_s=self.cooldown_s,
-            dt=self.dt,
-            kernel=self.kernel,
-            seed=self.seed,
-            migration_timeout_s=self.migration_timeout_s,
-            telemetry=self.telemetry,
-        )
-
-    def build_driver(self, sink=None):
-        """The bounded-slice driver for this config (configure phase)."""
-        if self.supervise:
-            from repro.core.supervisor import SupervisedRun
-
-            return SupervisedRun(
-                workload=self.workload,
-                engine_name=self._engine_name(),
-                link=self.make_link(),
-                warmup_s=self.warmup_s,
-                dt=self.dt,
-                kernel=self.kernel,
-                seed=self.seed,
-                vm_kwargs=self.vm_kwargs(),
-                max_attempts=self.max_attempts,
-                telemetry=self.telemetry,
-                telemetry_sink=sink,
-            )
-        from repro.core.experiment import ExperimentRun
-
-        run = ExperimentRun(self._experiment())
-        if sink is not None and run.vm.probe.enabled:
-            run.vm.probe.sink = sink
-            if run.vm.event_log is not None:
-                run.vm.event_log.sink = sink
-        return run
 
 
 # -- payloads and digests ---------------------------------------------------------------
@@ -206,38 +79,48 @@ def run_digest(vm, report) -> str:
     return h.hexdigest()
 
 
-def _ledgers(reports) -> tuple[list[dict], list[str]]:
-    from repro.telemetry.attribution import attribute_report
+def attribute_reports(reports, link=None) -> tuple[list[dict], list[str]]:
+    """Ledgers plus every conservation violation for one run's reports.
 
+    With *link* its meter is reconciled too: when the caller owns the
+    link for the whole run, the meter's category totals must match the
+    summed report ledgers exactly.
+    """
+    from repro.telemetry.attribution import attribute_report, audit_meter
+
+    reports = [report for report in reports if report is not None]
     ledgers, violations = [], []
     for report in reports:
-        if report is None:
-            continue
         led = attribute_report(report)
         ledgers.append(led.to_dict())
         violations.extend(f"attempt {led.attempt}: {v}" for v in led.violations)
+    if link is not None:
+        violations.extend(f"meter: {v}" for v in audit_meter(link.meter, reports))
     return ledgers, violations
 
 
-def experiment_payload(result, vm) -> dict:
-    """The JSON result of a plain session — same shape as
-    ``repro migrate --json --digest`` so reports diff 1:1."""
-    ledgers, violations = _ledgers([result.report])
+def experiment_payload(result, vm, link=None, digest: bool = True) -> dict:
+    """The JSON result of a plain run: ``repro migrate --json`` prints
+    it and a plain session finalizes to it, so reports diff 1:1."""
+    ledgers, violations = attribute_reports([result.report], link)
     payload = result.report.to_dict()
     payload["workload"] = result.workload
     payload["engine"] = result.engine
     payload["observed_app_downtime_s"] = result.observed_app_downtime_s
     payload["attribution"] = ledgers
     payload["conservation_violations"] = violations
-    payload["final_digest"] = run_digest(vm, result.report)
+    if digest:
+        payload["final_digest"] = run_digest(vm, result.report)
     payload["ok"] = bool(result.report.verified)
     return payload
 
 
-def supervised_payload(result, vm) -> dict:
-    """The JSON result of a supervised session — same shape as
-    ``repro migrate --supervise --json --digest``."""
-    ledgers, violations = _ledgers([rec.report for rec in result.attempts])
+def supervised_payload(result, vm, link=None, digest: bool = True) -> dict:
+    """The JSON result of a supervised run: ``repro migrate --supervise
+    --json`` prints it and a supervised session finalizes to it."""
+    ledgers, violations = attribute_reports(
+        [rec.report for rec in result.attempts], link
+    )
     payload = {
         "ok": result.ok,
         "engine": result.engine,
@@ -258,22 +141,20 @@ def supervised_payload(result, vm) -> dict:
         "attribution": ledgers,
         "conservation_violations": violations,
     }
-    payload["final_digest"] = run_digest(vm, result.report)
+    if digest:
+        payload["final_digest"] = run_digest(vm, result.report)
     return payload
 
 
-def run_standalone(config: SessionConfig) -> dict:
+def run_standalone(config: MigrationConfig) -> dict:
     """Run *config* to completion in-process, no manager, no slicing.
 
     The equivalence oracle: a session's ``result.json`` must be
     bit-identical to this function's return for the same config.
     """
-    driver = config.build_driver(sink=None)
-    if config.supervise:
-        result = driver.run()
-        return supervised_payload(result, driver.vm)
-    result = driver.run()
-    return experiment_payload(result, driver.vm)
+    driver = config.build_driver()
+    payload = supervised_payload if config.supervise else experiment_payload
+    return payload(driver.run(), driver.vm)
 
 
 # -- the session ------------------------------------------------------------------------
@@ -302,13 +183,16 @@ class MigrationSession:
     def __init__(
         self,
         session_id: str,
-        config: SessionConfig,
+        config: MigrationConfig,
         directory: str | None = None,
         checkpoint_every_s: float | None = None,
         checkpoint_overhead: float | None = 0.03,
     ) -> None:
         self.id = session_id
         self.config = config
+        #: what session.json records (kept as loaded when it no longer
+        #: validates)
+        self._config_record = config.to_dict() if config is not None else {}
         self.directory = directory
         self.checkpoint_every_s = checkpoint_every_s
         self.checkpoint_overhead = checkpoint_overhead
@@ -341,7 +225,7 @@ class MigrationSession:
             return
         record = {
             "id": self.id,
-            "config": self.config.to_dict(),
+            "config": self._config_record,
             "state": self._admin.state,
             "error": self._admin.error,
             "finalized": self._admin.finalized,
@@ -360,29 +244,38 @@ class MigrationSession:
         checkpoint_every_s: float | None = None,
         checkpoint_overhead: float | None = 0.03,
     ) -> "MigrationSession":
-        """Rebuild a session from its directory (daemon restart)."""
+        """Rebuild a session from its directory (daemon restart).
+
+        A record whose config no longer validates loads with no config;
+        if it had not finished yet, it fails with the validation message.
+        """
         with open(os.path.join(directory, "session.json"), encoding="utf-8") as fh:
             record = json.load(fh)
-        session = cls.__new__(cls)
-        session.id = record["id"]
-        session.config = SessionConfig.from_dict(record["config"])
+        raw = record.get("config")
+        try:
+            config, invalid = MigrationConfig.from_dict(raw), None
+        except ConfigurationError as exc:
+            config, invalid = None, f"invalid config: {exc}"
+        session = cls(
+            record["id"],
+            config,
+            checkpoint_every_s=checkpoint_every_s,
+            checkpoint_overhead=checkpoint_overhead,
+        )
         session.directory = directory
-        session.checkpoint_every_s = checkpoint_every_s
-        session.checkpoint_overhead = checkpoint_overhead
+        session._config_record = raw if isinstance(raw, dict) else {}
         session._admin = _Admin(
             id=record["id"],
             state=record["state"],
             error=record.get("error", ""),
             finalized=record.get("finalized", False),
         )
-        session.driver = None
-        session.checkpointer = None
-        session._sink = None
-        session.result_payload = None
         result_path = os.path.join(directory, "result.json")
         if os.path.exists(result_path):
             with open(result_path, encoding="utf-8") as fh:
                 session.result_payload = json.load(fh)
+        if invalid and session._admin.state not in TERMINAL_STATES:
+            session._fail(invalid)
         return session
 
     # -- lifecycle ----------------------------------------------------------------------
@@ -419,17 +312,8 @@ class MigrationSession:
             self.driver = self.config.build_driver(sink=self._sink)
             self.checkpointer = self._make_checkpointer()
         except Exception as exc:  # noqa: BLE001 — a config that cannot
-            # even build (e.g. no room for an Old generation) fails its
-            # session, not the daemon.
-            self._admin.state = FAILED
-            self._admin.error = f"{type(exc).__name__}: {exc}"
-            self._write_result({
-                "ok": False,
-                "failed": True,
-                "error": self._admin.error,
-            })
-            self._close_sink()
-            self._persist_admin()
+            # even build fails its session, not the daemon.
+            self._fail(f"{type(exc).__name__}: {exc}")
             return
         self._admin.state = RUNNING
         self._persist_admin()
@@ -478,20 +362,19 @@ class MigrationSession:
             finished = driver.step(driver.engine.now + slice_s, self.checkpointer)
         except Exception as exc:  # noqa: BLE001 — session isolation:
             # one blown simulation must not take the daemon down.
-            self._admin.state = FAILED
-            self._admin.error = f"{type(exc).__name__}: {exc}"
-            self._write_result({
-                "ok": False,
-                "failed": True,
-                "error": self._admin.error,
-            })
-            self._close_sink()
-            self._persist_admin()
+            self._fail(f"{type(exc).__name__}: {exc}")
             return True
         if finished:
             self._complete()
             return True
         return False
+
+    def _fail(self, error: str) -> None:
+        self._admin.state = FAILED
+        self._admin.error = error
+        self._write_result({"ok": False, "failed": True, "error": error})
+        self._close_sink()
+        self._persist_admin()
 
     def _complete(self) -> None:
         driver = self.driver
@@ -608,12 +491,15 @@ class MigrationSession:
     # -- status -------------------------------------------------------------------------
 
     def status(self) -> dict:
+        # the persisted record also describes a no-longer-valid config
+        spec = self._config_record
+        supervised = spec.get("supervise") is True
         info = {
             "id": self.id,
-            "name": self.config.name,
-            "workload": self.config.workload,
-            "engine": self.config.engine,
-            "supervise": self.config.supervise,
+            "name": spec.get("name", ""),
+            "workload": spec.get("workload"),
+            "engine": spec.get("engine"),
+            "supervise": supervised,
             "state": self.state,
             "error": self._admin.error,
         }
@@ -621,14 +507,14 @@ class MigrationSession:
         if driver is not None:
             info["sim_now_s"] = driver.engine.now
             info["phase"] = getattr(driver, "phase", None)
-            if self.config.supervise and driver.supervisor is not None:
+            if supervised and driver.supervisor is not None:
                 info["attempt"] = driver.supervisor._attempt
         if self.result_payload is not None:
             info["ok"] = self.result_payload.get("ok")
             report = (
-                self.result_payload
-                if not self.config.supervise
-                else self.result_payload.get("report")
+                self.result_payload.get("report")
+                if supervised
+                else self.result_payload
             )
             if isinstance(report, dict) and "completion_time_s" in report:
                 info["completion_time_s"] = report.get("completion_time_s")

@@ -1,5 +1,10 @@
 """The command-line entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,6 +76,26 @@ def test_migrate_command_json(capsys):
     assert payload["engine"] == "xen"
     assert payload["verified"] is True
     assert payload["iterations"]
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--workload", "nope"], "workload"),
+    (["--engine", "bogus"], "engine"),
+    (["--young-mb", "0"], "young_mb"),
+])
+def test_bad_migrate_flag_is_one_error_line(flags, field):
+    """A bad flag is refused before any VM is built: exit 2, one line."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "migrate", *flags],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {field}: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_experiment_registry_complete():

@@ -23,7 +23,7 @@ def build_gang(n: int, engine_name: str, link: Link):
         else:
             migrator = PrecopyMigrator(domain, link)
         engine.add(migrator)
-        jvm.migration_load = migrator.load_fraction
+        jvm.migration_load = migrator
         members.append((domain, migrator))
     return engine, members
 

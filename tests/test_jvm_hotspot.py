@@ -1,5 +1,6 @@
 """The HotSpot actor: phases, safepoints, enforced GC, interference."""
 
+import numpy as np
 import pytest
 
 from repro.jvm.gc_model import GcCostModel
@@ -105,10 +106,23 @@ def test_paused_domain_freezes_jvm(tiny_vm):
     assert jvm.ops_completed > ops
 
 
+class FullLineRate:
+    """A migration-load hook stub: the daemon at full line rate."""
+
+    def load_fraction(self):
+        return 1.0
+
+    def load_plan(self, ticks):
+        return np.ones(ticks)
+
+    def load_floor(self):
+        return 1.0
+
+
 def test_migration_interference_slows_mutators(tiny_vm):
     domain, kernel, lkm, process, heap, jvm, agent = tiny_vm
     jvm.interference_k = 0.5
-    jvm.migration_load = lambda: 1.0  # daemon at full line rate
+    jvm.migration_load = FullLineRate()
     drive(jvm, kernel, 2.0)
     assert jvm.ops_completed == pytest.approx(0.5 * 2.0 * TINY.ops_per_s, rel=0.2)
 

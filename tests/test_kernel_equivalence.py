@@ -323,7 +323,7 @@ def test_migration_measures_are_bit_identical(engine_name, seed):
     assert fixed.old_used_at_migration == event.old_used_at_migration
 
 
-def _run_supervised(kernel: str, engine_name: str, with_faults: bool, monkeypatch):
+def _supervised_outputs(kernel: str, engine_name: str, with_faults: bool, monkeypatch):
     monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
     plan = None
     if with_faults:
@@ -340,8 +340,8 @@ def _run_supervised(kernel: str, engine_name: str, with_faults: bool, monkeypatc
 @pytest.mark.parametrize("engine_name", ["xen", "javmm"])
 @pytest.mark.parametrize("with_faults", [False, True])
 def test_supervised_runs_are_bit_identical(engine_name, with_faults, monkeypatch):
-    fixed = _run_supervised("fixed", engine_name, with_faults, monkeypatch)
-    event = _run_supervised("event", engine_name, with_faults, monkeypatch)
+    fixed = _supervised_outputs("fixed", engine_name, with_faults, monkeypatch)
+    event = _supervised_outputs("event", engine_name, with_faults, monkeypatch)
     assert fixed.ok == event.ok
     assert fixed.n_attempts == event.n_attempts
     assert fixed.degradations == event.degradations
@@ -529,12 +529,12 @@ def test_supervised_wan_live_status_equals_post_mortem(tmp_path, monkeypatch):
 
 def _session_payloads(kernel: str, tmp_path, tag: str):
     """Three mixed sessions multiplexed through one manager round-robin."""
-    from repro.service import MigrationManager, SessionConfig
+    from repro.service import MigrationConfig, MigrationManager
 
     configs = [
-        SessionConfig(workload="derby", seed=7, kernel=kernel),
-        SessionConfig(workload="scimark", seed=11, kernel=kernel),
-        SessionConfig(workload="derby", seed=13, supervise=True, kernel=kernel),
+        MigrationConfig(workload="derby", seed=7, kernel=kernel),
+        MigrationConfig(workload="scimark", seed=11, kernel=kernel),
+        MigrationConfig(workload="derby", seed=13, supervise=True, kernel=kernel),
     ]
     manager = MigrationManager(
         root_dir=str(tmp_path / f"svc-{tag}-{kernel}"),

@@ -27,7 +27,7 @@ def build_and_run(migrator_factory, warmup=1.0, timeout=300.0, **vm_kwargs):
         engine.add(actor)
     migrator = migrator_factory(domain, kernel, lkm, heap, jvm)
     engine.add(migrator)
-    jvm.migration_load = migrator.load_fraction
+    jvm.migration_load = migrator
     engine.run_until(warmup)
     migrator.start(engine.now)
     engine.run_while(lambda: not migrator.done, timeout=timeout)

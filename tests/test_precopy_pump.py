@@ -59,7 +59,7 @@ def _tiny_outputs(engine: str) -> tuple:
         sim.add(actor)
     mig = ENGINES[engine](domain, lkm, jvm)
     sim.add(mig)
-    jvm.migration_load = mig.load_fraction
+    jvm.migration_load = mig
     sim.run_until(1.0)
     mig.start(sim.now)
     sim.run_while(lambda: not mig.done, timeout=300.0)

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigurationError, SimulationError
 from repro.service import (
+    MigrationConfig,
     MigrationManager,
     RequestFailed,
     ServiceClient,
-    SessionConfig,
     SessionError,
     run_standalone,
 )
@@ -32,20 +33,20 @@ REPO = Path(__file__).resolve().parent.parent
 SMALL = dict(workload="derby", mem_mb=512, young_mb=128, seed=7)
 
 
-def small_config(**overrides) -> SessionConfig:
-    return SessionConfig(**{**SMALL, **overrides})
+def small_config(**overrides) -> MigrationConfig:
+    return MigrationConfig(**{**SMALL, **overrides})
 
 
 # -- session lifecycle (in-process) -------------------------------------------------------
 
 
 def test_unknown_config_field_is_rejected():
-    with pytest.raises(SessionError, match="unknown session config"):
-        SessionConfig.from_dict({"workload": "derby", "vcpus": 4})
+    with pytest.raises(ConfigurationError, match="unknown config fields: vcpus"):
+        MigrationConfig.from_dict({"workload": "derby", "vcpus": 4})
 
 
 def test_wan_implies_supervise():
-    assert SessionConfig(workload="derby", wan="continental").supervise
+    assert MigrationConfig(workload="derby", wan="continental").supervise
 
 
 def test_verbs_enforce_the_state_machine(tmp_path):
@@ -145,11 +146,19 @@ def test_stop_and_copy_forces_early_convergence(tmp_path):
 def test_session_failure_is_isolated(tmp_path):
     """One blown simulation fails its session, not the manager."""
     manager = MigrationManager(root_dir=str(tmp_path), max_active=2)
-    bad = manager.submit(small_config(mem_mb=256, young_mb=64))  # no Old room
-    good = manager.submit(small_config())
+    with pytest.raises(ConfigurationError, match="young_mb: no room"):
+        manager.submit({**SMALL, "mem_mb": 256, "young_mb": 64})
+    bad = manager.submit(small_config())
+    good = manager.submit(small_config(seed=8))
+    manager.step_round()
+
+    def blow_up(limit, checkpointer=None):
+        raise SimulationError("simulated blow-up")
+
+    manager.session(bad).driver.step = blow_up
     manager.drain()
     assert manager.session(bad).state == "failed"
-    assert "ConfigurationError" in manager.session(bad).error
+    assert "SimulationError" in manager.session(bad).error
     assert manager.session(good).state == "done"
     payload = manager.finalize(bad)
     assert payload["failed"] and not payload["ok"]

@@ -25,18 +25,18 @@ from pathlib import Path
 import pytest
 
 from repro.service import (
+    MigrationConfig,
     MigrationManager,
     ServiceClient,
-    SessionConfig,
     run_standalone,
 )
 
 REPO = Path(__file__).resolve().parent.parent
 
 CONFIGS = [
-    SessionConfig(workload="derby", mem_mb=512, young_mb=128, seed=7),
-    SessionConfig(workload="scimark", mem_mb=512, young_mb=128, seed=11),
-    SessionConfig(
+    MigrationConfig(workload="derby", mem_mb=512, young_mb=128, seed=7),
+    MigrationConfig(workload="scimark", mem_mb=512, young_mb=128, seed=11),
+    MigrationConfig(
         workload="derby", mem_mb=512, young_mb=128, seed=13, supervise=True
     ),
 ]
