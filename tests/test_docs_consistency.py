@@ -35,9 +35,10 @@ def test_experiments_reports_every_figure_and_table():
 
 
 def test_benchmarks_referenced_in_design_exist():
-    design = read("DESIGN.md")
-    for ref in re.findall(r"benchmarks/(\w+\.py)", design):
-        assert (ROOT / "benchmarks" / ref).exists(), ref
+    docs = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "docs").glob("*.md"))
+    for name in ("DESIGN.md", "README.md", "EXPERIMENTS.md", *docs, "Makefile"):
+        for ref in re.findall(r"benchmarks/(\w+\.py)", read(name)):
+            assert (ROOT / "benchmarks" / ref).exists(), (name, ref)
 
 
 def test_engine_list_in_readme_matches_builders():
