@@ -25,7 +25,7 @@ checked-in baseline double as a determinism tripwire.
 
 Plain script on purpose (no pytest-benchmark dependency)::
 
-    PYTHONPATH=src python benchmarks/bench_pr10_service.py [OUT.json]
+    PYTHONPATH=src python benchmarks/bench_pr10_service.py OUT.json
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _kill_resume_leg(configs: list[MigrationConfig]) -> bool:
         )
 
 
-def main(out_path: "str | None" = None) -> int:
+def main(out_path: str) -> int:
     configs = fleet_configs()
     # One discarded full multiplexed round: having 64 VMs alive at
     # once grows the allocator's high-water mark, a one-time cost that
@@ -187,11 +187,7 @@ def main(out_path: "str | None" = None) -> int:
             _measures(config, p) for config, p in zip(configs, baseline)
         ],
     }
-    out = (
-        Path(out_path)
-        if out_path
-        else Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
-    )
+    out = Path(out_path)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"{FLEET} sessions: sequential {sequential_s:.2f}s, "
@@ -207,4 +203,7 @@ def main(out_path: "str | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1] if len(sys.argv) > 1 else None))
+    if len(sys.argv) != 2:
+        print("usage: bench_pr10_service.py OUT.json", file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main(sys.argv[1]))

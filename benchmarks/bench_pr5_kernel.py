@@ -27,7 +27,7 @@ not machine noise.  Wall times are reported but never gated there.
 
 Plain script on purpose (no pytest-benchmark dependency)::
 
-    PYTHONPATH=src python benchmarks/bench_pr5_kernel.py [OUT.json]
+    PYTHONPATH=src python benchmarks/bench_pr5_kernel.py OUT.json
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _migration_sweep(kernel: str) -> tuple[float, list[dict], dict]:
     return total, rows, reports
 
 
-def main(out_path: "str | None" = None) -> int:
+def main(out_path: str) -> int:
     saved_env = os.environ.get(KERNEL_ENV_VAR)
     walls = {
         k: {"fig05": [], "table2": [], "migrate": []} for k in ("fixed", "event")
@@ -206,11 +206,7 @@ def main(out_path: "str | None" = None) -> int:
         },
         "runs": details,
     }
-    out = (
-        Path(out_path)
-        if out_path
-        else Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
-    )
+    out = Path(out_path)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(
         f"quiet sweeps: fixed {quiet_fixed:.2f}s, event {quiet_event:.2f}s "
@@ -222,4 +218,7 @@ def main(out_path: "str | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1] if len(sys.argv) > 1 else None))
+    if len(sys.argv) != 2:
+        print("usage: bench_pr5_kernel.py OUT.json", file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main(sys.argv[1]))

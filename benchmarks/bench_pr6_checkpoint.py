@@ -31,7 +31,7 @@ Every run row records its simulated measures, deterministic for the
 fixed seed — ``make check-bench`` diffs them against the checked-in
 ``BENCH_PR6.json`` with ``repro compare``.  Plain script on purpose::
 
-    PYTHONPATH=src python benchmarks/bench_pr6_checkpoint.py [OUT.json]
+    PYTHONPATH=src python benchmarks/bench_pr6_checkpoint.py OUT.json
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _row(workload: str, engine: str, tag: str, wall: float, report) -> dict:
     }
 
 
-def main(out_path: "str | None" = None) -> int:
+def main(out_path: str) -> int:
     # One discarded pass pays the interpreter/numpy caching costs.
     ExperimentRun(_experiment("derby", "javmm")).run()
 
@@ -169,11 +169,7 @@ def main(out_path: "str | None" = None) -> int:
         },
         "runs": rows,
     }
-    out = (
-        Path(out_path)
-        if out_path
-        else Path(__file__).resolve().parent.parent / "BENCH_PR6.json"
-    )
+    out = Path(out_path)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     ok = (
         overhead_pct < OVERHEAD_GATE_PCT
@@ -192,4 +188,7 @@ def main(out_path: "str | None" = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1] if len(sys.argv) > 1 else None))
+    if len(sys.argv) != 2:
+        print("usage: bench_pr6_checkpoint.py OUT.json", file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main(sys.argv[1]))

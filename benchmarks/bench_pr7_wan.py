@@ -33,7 +33,7 @@ deterministic for the fixed seed — ``make check-bench`` diffs them
 against the checked-in ``BENCH_PR7.json`` with ``repro compare``.
 Plain script on purpose::
 
-    PYTHONPATH=src python benchmarks/bench_pr7_wan.py [OUT.json]
+    PYTHONPATH=src python benchmarks/bench_pr7_wan.py OUT.json
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _row(workload: str, profile: str, wall: float, result) -> dict:
     }
 
 
-def main(out_path: "str | None" = None) -> int:
+def main(out_path: str) -> int:
     # The sweep's measures are part of the checked-in baseline: pin the
     # kernel rather than inherit whatever REPRO_SIM_KERNEL says.
     saved_kernel = os.environ.get(KERNEL_ENV_VAR)
@@ -138,7 +138,7 @@ def main(out_path: "str | None" = None) -> int:
             os.environ[KERNEL_ENV_VAR] = saved_kernel
 
 
-def _main(out_path: "str | None") -> int:
+def _main(out_path: str) -> int:
     lan_downtime: dict[str, float] = {}
     for workload in WORKLOADS:
         ref, _ = _lan_reference(workload)
@@ -279,11 +279,7 @@ def _main(out_path: "str | None") -> int:
         "cells": cells,
         "runs": rows,
     }
-    out = (
-        Path(out_path)
-        if out_path
-        else Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
-    )
+    out = Path(out_path)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     ok = all(payload["gates"].values())
     print(
@@ -298,4 +294,7 @@ def _main(out_path: "str | None") -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1] if len(sys.argv) > 1 else None))
+    if len(sys.argv) != 2:
+        print("usage: bench_pr7_wan.py OUT.json", file=sys.stderr)
+        raise SystemExit(2)
+    raise SystemExit(main(sys.argv[1]))

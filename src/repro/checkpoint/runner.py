@@ -18,9 +18,12 @@ literally could spend more wall time pickling than simulating.  The
 checkpointer therefore meters itself against
 :attr:`CheckpointConfig.max_overhead` — a due write is deferred when
 admitting it would push the cumulative wall cost of checkpointing past
-that fraction of elapsed wall time (``checkpoint.deferred`` counts
-these).  Deferral only ages the newest archive; ``max_overhead=None``
-restores the exact cadence when tests need pinned restore points.
+that fraction of the wall time this run spent in its own drive loops
+(``checkpoint.deferred`` counts these).  Only the run's own slices
+count, so sessions multiplexed in one process each keep their own
+budget rather than sharing the daemon's wall.  Deferral only ages the
+newest archive; ``max_overhead=None`` restores the exact cadence when
+tests need pinned restore points.
 
 Checkpoint writes happen *between* engine advances, never inside a
 step, and touch no simulated state — so a run with checkpointing is
@@ -34,8 +37,11 @@ surface: ``.engine`` (required), ``.probe`` and
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from repro.checkpoint.archive import (
     CheckpointArchive,
@@ -66,15 +72,16 @@ class CheckpointConfig:
     #: JSON-shaped experiment config; hashed into every manifest so a
     #: resume into a different experiment is refused
     config: dict = field(default_factory=dict)
-    #: wall-clock overhead budget: the fraction of elapsed wall time
-    #: checkpoint writes may consume.  The simulation often executes
-    #: hundreds of ticks per wall millisecond, so an ``every_s`` cadence
-    #: taken literally could spend more wall time pickling than
-    #: simulating; when the budget is exceeded a due write is *deferred*
-    #: to the next cadence instant (the archive just ages — correctness
-    #: is untouched, the baseline from :meth:`Checkpointer.arm` always
-    #: exists).  ``None`` disables the throttle and honours the cadence
-    #: exactly (the chaos tests do this to pin crash/resume points).
+    #: wall-clock overhead budget: the fraction of the run's own drive
+    #: wall time (its slices) checkpoint writes may consume.  The
+    #: simulation often executes hundreds of ticks per wall millisecond,
+    #: so an ``every_s`` cadence taken literally could spend more wall
+    #: time pickling than simulating; when the budget is exceeded a due
+    #: write is *deferred* to the next cadence instant (the archive just
+    #: ages — correctness is untouched, the baseline from
+    #: :meth:`Checkpointer.arm` always exists).  ``None`` disables the
+    #: throttle and honours the cadence exactly (the chaos tests do this
+    #: to pin crash/resume points).
     max_overhead: float | None = 0.03
 
 
@@ -83,10 +90,15 @@ class Checkpointer:
 
     Deliberately *not* part of the pickle graph: it belongs to the
     process (paths, journal handle), so a resumed run builds a fresh
-    one over the same directory.
+    one over the same directory.  *clock* is the wall clock the
+    overhead meter reads (a stub in tests).
     """
 
-    def __init__(self, config: CheckpointConfig) -> None:
+    def __init__(
+        self,
+        config: CheckpointConfig,
+        clock: Callable[[], float] = time.perf_counter,
+    ) -> None:
         self.config = config
         self.directory = Path(config.directory)
         self.journal = WriteAheadJournal(self.directory / "journal.jsonl")
@@ -95,18 +107,45 @@ class Checkpointer:
         self.written = 0
         #: cadence instants skipped by the overhead throttle
         self.deferred = 0
+        self._clock = clock
         self._wall_spent = 0.0
-        self._wall_start: float | None = None
         self._last_cost_s = 0.0
+        #: wall seconds of finished drive loops, and the start of the
+        #: one in progress (see :meth:`driving`)
+        self._driven_s = 0.0
+        self._driving_since: float | None = None
 
     @property
     def wall_spent_s(self) -> float:
-        """Cumulative wall-clock seconds spent writing checkpoints.
+        """Cumulative wall-clock seconds spent in :meth:`write`.
 
         The numerator of the overhead fraction the throttle meters (and
         the quantity ``bench_pr6_checkpoint.py`` gates against run wall
         time)."""
         return self._wall_spent
+
+    @property
+    def driven_s(self) -> float:
+        """Wall seconds this run spent in its own drive loops so far —
+        the denominator of the overhead fraction."""
+        if self._driving_since is None:
+            return self._driven_s
+        return self._driven_s + self._clock() - self._driving_since
+
+    @contextmanager
+    def driving(self):
+        """Meter one drive loop (a slice of this run) on the wall clock.
+
+        :func:`advance_to` and :func:`advance_while` wrap their loops in
+        this, so the wall another session's slices take in between is
+        never charged to this run's budget.
+        """
+        self._driving_since = self._clock()
+        try:
+            yield
+        finally:
+            self._driven_s += self._clock() - self._driving_since
+            self._driving_since = None
 
     def arm(self, controller) -> None:
         """Write the baseline checkpoint and start the cadence clock.
@@ -115,9 +154,6 @@ class Checkpointer:
         warm-up scheduled); guarantees a resume source exists before
         any crash window opens.
         """
-        import time
-
-        self._wall_start = time.perf_counter()
         self.write(controller)
         self._next_due = controller.engine.now + self.config.every_s
 
@@ -126,20 +162,15 @@ class Checkpointer:
 
         Admission test against :attr:`CheckpointConfig.max_overhead`:
         the wall time already spent writing, plus the expected cost of
-        one more write, must fit within the budget fraction of the wall
-        time elapsed since :meth:`arm`.  The baseline write is always
-        admitted (``arm`` calls :meth:`write` directly), so deferral
-        only ever ages the newest archive, never removes it.
+        one more write, must fit within the budget fraction of
+        :attr:`driven_s`.  The baseline write is always admitted
+        (``arm`` calls :meth:`write` directly), so deferral only ever
+        ages the newest archive, never removes it.
         """
-        import time
-
         frac = self.config.max_overhead
         if frac is None:
             return True
-        if self._wall_start is None:
-            self._wall_start = time.perf_counter()
-        elapsed = time.perf_counter() - self._wall_start
-        return self._wall_spent + self._last_cost_s <= frac * max(elapsed, 1e-9)
+        return self._wall_spent + self._last_cost_s <= frac * max(self.driven_s, 1e-9)
 
     def bound(self, target: float) -> float:
         """Cap an advance bound at the next checkpoint/crash instant."""
@@ -170,9 +201,12 @@ class Checkpointer:
                 self._next_due += self.config.every_s
 
     def write(self, controller) -> CheckpointArchive:
-        """Write one checkpoint of *controller* now, then prune."""
-        import time
+        """Write one checkpoint of *controller* now, then prune.
 
+        The whole call — array and extra capture, the archive, pruning
+        — is metered as its wall cost.
+        """
+        t0 = self._clock()
         engine = controller.engine
         probe = getattr(controller, "probe", None) or NULL_PROBE
         arrays = {}
@@ -181,7 +215,6 @@ class Checkpointer:
         extra = {}
         if hasattr(controller, "checkpoint_extra"):
             extra = controller.checkpoint_extra()
-        t0 = time.perf_counter()
         archive = write_checkpoint(
             self.directory,
             engine,
@@ -191,15 +224,15 @@ class Checkpointer:
             arrays=arrays,
             extra=extra,
         )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        self._wall_spent += wall_ms / 1e3
-        self._last_cost_s = wall_ms / 1e3
         prune_checkpoints(self.directory, self.config.keep)
+        cost_s = self._clock() - t0
+        self._wall_spent += cost_s
+        self._last_cost_s = cost_s
         # Zero-duration sim-time span (the write is instantaneous in
         # simulated time); the wall cost rides as an arg.
         span = probe.begin(
             "checkpoint", engine.now, track="checkpoint", cat="checkpoint",
-            tick=engine.clock.ticks, wall_ms=wall_ms,
+            tick=engine.clock.ticks, wall_ms=cost_s * 1e3,
         )
         probe.end(span, engine.now)
         probe.count("checkpoint.written")
@@ -233,17 +266,18 @@ def advance_to(
             f"cannot run to {t:.3f}: time is already {engine.now:.3f}"
         )
     steps = 0
-    while engine.now < t:
-        if limit is not None and engine.now >= limit:
-            return
-        bound = t if checkpointer is None else checkpointer.bound(t)
-        if limit is not None:
-            bound = min(bound, limit)
-        steps += engine.advance(bound)
-        if steps > engine._max_steps:
-            raise SimulationError("run_until exceeded the step budget")
-        if checkpointer is not None:
-            checkpointer.maybe(controller)
+    with _metered(checkpointer):
+        while engine.now < t:
+            if limit is not None and engine.now >= limit:
+                return
+            bound = t if checkpointer is None else checkpointer.bound(t)
+            if limit is not None:
+                bound = min(bound, limit)
+            steps += engine.advance(bound)
+            if steps > engine._max_steps:
+                raise SimulationError("run_until exceeded the step budget")
+            if checkpointer is not None:
+                checkpointer.maybe(controller)
 
 
 def advance_while(
@@ -265,19 +299,25 @@ def advance_while(
     next slice.
     """
     engine = controller.engine
-    while predicate():
-        if engine.now >= deadline:
-            raise SimulationError(
-                f"run_while did not terminate within {timeout:.1f} sim-seconds"
-            )
-        if limit is not None and engine.now >= limit:
-            return
-        bound = deadline if checkpointer is None else checkpointer.bound(deadline)
-        if limit is not None:
-            bound = min(bound, limit)
-        engine.advance(bound)
-        if checkpointer is not None:
-            checkpointer.maybe(controller)
+    with _metered(checkpointer):
+        while predicate():
+            if engine.now >= deadline:
+                raise SimulationError(
+                    f"run_while did not terminate within {timeout:.1f} sim-seconds"
+                )
+            if limit is not None and engine.now >= limit:
+                return
+            bound = deadline if checkpointer is None else checkpointer.bound(deadline)
+            if limit is not None:
+                bound = min(bound, limit)
+            engine.advance(bound)
+            if checkpointer is not None:
+                checkpointer.maybe(controller)
+
+
+def _metered(checkpointer: Checkpointer | None):
+    """The drive-loop meter of *checkpointer*, if there is one."""
+    return nullcontext() if checkpointer is None else checkpointer.driving()
 
 
 @dataclass

@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=3.0,
         metavar="PCT",
         help=(
-            "max percentage of wall clock spent writing checkpoints; due "
+            "max percentage of the run's own wall clock spent writing "
+            "checkpoints; due "
             "writes past the budget are deferred to the next cadence "
             "instant. 0 disables the throttle and honours the cadence "
             "exactly (default: %(default)s)"

@@ -41,8 +41,37 @@ from repro.units import gbit_per_s
 DEFAULT_PAGE_OVERHEAD_BYTES = 150
 
 
+class _LinkCounters:
+    """One probe's link counters, bound once (see :meth:`Probe.counter`)."""
+
+    __slots__ = ("probe", "pages", "payload", "wire", "retransmit", "control",
+                 "_by_category")
+
+    def __init__(self, probe) -> None:
+        self.probe = probe
+        self.pages = probe.counter("net.pages")
+        self.payload = probe.counter("net.payload_bytes")
+        self.wire = probe.counter("net.wire_bytes")
+        self.retransmit = probe.counter("net.retransmit_wire_bytes")
+        self.control = probe.counter("net.control_bytes")
+        self._by_category: dict = {}
+
+    def category(self, category: str):
+        """The ``net.category_wire_bytes`` handle for *category*."""
+        found = self._by_category.get(category)
+        if found is None:
+            found = self._by_category[category] = self.probe.counter(
+                "net.category_wire_bytes", category=category
+            )
+        return found
+
+
 class Link:
     """A point-to-point link with fixed usable bandwidth."""
+
+    #: bound counters of :attr:`probe`, rebound when the probe changes;
+    #: a per-process cache, kept out of pickles (see __getstate__)
+    _counters: _LinkCounters | None = None
 
     def __init__(
         self,
@@ -73,6 +102,17 @@ class Link:
         self.last_retransmit_bytes = 0
         #: telemetry handle (see repro.telemetry); no-op unless enabled
         self.probe = NULL_PROBE
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_counters", None)
+        return state
+
+    def _bound_counters(self) -> _LinkCounters:
+        counters = self._counters
+        if counters is None or counters.probe is not self.probe:
+            counters = self._counters = _LinkCounters(self.probe)
+        return counters
 
     def set_bandwidth(self, bandwidth_bytes_per_s: float) -> None:
         """Change the raw link speed mid-flight (congestion, failover).
@@ -243,19 +283,16 @@ class Link:
                 pages=0, payload_bytes=0, wire_bytes=retrans, category="loss_retx"
             )
         if self.probe.enabled:
-            self.probe.count("net.pages", n_pages)
-            self.probe.count("net.payload_bytes", payload)
-            self.probe.count("net.wire_bytes", wire)
-            self.probe.count(
-                "net.category_wire_bytes", wire - retrans, category=category
-            )
+            counters = self._bound_counters()
+            counters.pages.inc(n_pages)
+            counters.payload.inc(payload)
+            counters.wire.inc(wire)
+            counters.category(category).inc(wire - retrans)
             # Emitted even when zero so downstream comparators always
             # find the series and can gate on its growth.
-            self.probe.count("net.retransmit_wire_bytes", retrans)
+            counters.retransmit.inc(retrans)
             if retrans:
-                self.probe.count(
-                    "net.category_wire_bytes", retrans, category="loss_retx"
-                )
+                counters.category("loss_retx").inc(retrans)
         return wire
 
     def account_control(self, n_bytes: int, category: str = "control") -> int:
@@ -264,7 +301,8 @@ class Link:
             pages=0, payload_bytes=0, wire_bytes=int(n_bytes), category=category
         )
         if self.probe.enabled:
-            self.probe.count("net.control_bytes", int(n_bytes))
-            self.probe.count("net.wire_bytes", int(n_bytes))
-            self.probe.count("net.category_wire_bytes", int(n_bytes), category=category)
+            counters = self._bound_counters()
+            counters.control.inc(int(n_bytes))
+            counters.wire.inc(int(n_bytes))
+            counters.category(category).inc(int(n_bytes))
         return int(n_bytes)

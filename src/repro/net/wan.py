@@ -18,7 +18,10 @@ this module models on top of :class:`~repro.net.link.Link`:
   is the degenerate single-state case.  The chain draws from a
   :class:`~repro.sim.rng.SimRng` substream and only advances while
   traffic flows, so runs are bit-identical across the fixed and event
-  kernels and across checkpoint/resume.
+  kernels and across checkpoint/resume.  While it draws, the event
+  kernel still leaps: the driver peeks ahead on a copy of the
+  substream for the first tick whose draw flips the chain and grants
+  the ticks before it (DESIGN.md §6, "Race leaps").
 - **weather**: timed bandwidth/RTT shifts (routing changes, cross
   traffic) scheduled like a :class:`~repro.faults.FaultPlan` and
   composing with one — weather reshapes the link, faults break it.
@@ -33,7 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import DEFAULT_PAGE_OVERHEAD_BYTES, Link
 from repro.sim.actor import Actor
 from repro.sim.rng import SimRng
@@ -43,6 +48,10 @@ from repro.units import gbit_per_s, mbit_per_s
 #: dead and the fault machinery (stall abort, circuit breaker), not
 #: more patience, is the right response.
 MAX_WATCHDOG_SCALE = 16.0
+
+#: Draws one look-ahead peeks at (32 KiB of float64, discarded after
+#: the search); it also caps a leap while the chain draws.
+LOOKAHEAD_DRAWS = 4096
 
 #: How many RTTs of grace a watchdog deadline gains (a handful of
 #: control round-trips can legitimately sit between progress events).
@@ -193,10 +202,18 @@ class WanDriver(Actor):
 
     Determinism contract with the event kernel: the Gilbert–Elliott
     chain draws exactly one uniform per tick *while the link has active
-    consumers* and none otherwise.  This driver abstains from horizons
-    while it draws (forcing per-tick stepping for everyone), so the
-    draw sequence is identical under both kernels; while idle the chain
-    is frozen, which is what makes the quiet-stretch leaps safe.
+    consumers* and none otherwise, in both kernels.  While idle the
+    chain is frozen.  While it draws, :meth:`next_event` looks ahead on
+    a *copy* of the ``wan-ge`` bit-generator state for the first draw
+    that flips the chain (or the end of a bounded look-ahead window)
+    and grants the ticks before it; :meth:`step_many` then consumes
+    exactly one draw per quiet tick in one batch — a batch of *k*
+    draws equals *k* scalar draws bit for bit — and raises
+    :class:`SimulationError` if any of them flips.  The flip itself
+    lands on an ordinary step, so :attr:`Link.loss_rate` is constant
+    across every leap and the RNG state after a leap equals the fixed
+    kernel's.  The look-ahead memo is transient: it is not part of
+    :meth:`snapshot_state`.
     """
 
     priority = 1
@@ -218,6 +235,11 @@ class WanDriver(Actor):
         #: (due-at, bandwidth_scale, rtt_scale) restore records —
         #: declarative, so armed weather survives a checkpoint pickle
         self._reversions: list[tuple[float, float, float]] = []
+        #: chain draws consumed since construction or restore, and the
+        #: look-ahead memo (chain state, flip threshold, draw index of
+        #: the first draw that may flip) checked against that count
+        self._draws = 0
+        self._flip_memo: tuple | None = None
 
     def arm(self, now: float) -> None:
         """Fix the weather schedule's t=0 (see FaultInjector.arm)."""
@@ -232,8 +254,6 @@ class WanDriver(Actor):
     def next_event(self, now: float) -> float | None:
         if self._pending and self._armed_at is None:
             return None  # self-arming instant depends on the tick grid
-        if self.link.burst_enabled and self.link.active_consumers > 0:
-            return None  # one chain draw per tick while traffic flows
         dt = self.sim_dt
         if dt is None:
             return None
@@ -241,13 +261,23 @@ class WanDriver(Actor):
         # Pad one tick early, as the injector does: ``rel >= at_s``
         # recomputes ``now - armed_at`` each tick and can round low.
         cands += [self._armed_at + e.at_s - dt for e in self._pending]
+        if self._drawing():
+            # Land on the tick whose draw may flip the chain.
+            cands.append(now + (self._first_flip(dt) - self._draws + 1) * dt)
         return min(cands) if cands else math.inf
 
     def step_many(self, start_tick: int, ticks: int, dt: float) -> None:
-        # Quiet ticks: the chain is frozen (no consumers) and no weather
-        # is due; replay the first tick's self-arming exactly.
+        # Quiet ticks: no weather is due and no chain draw flips; replay
+        # the first tick's self-arming exactly.
         if self._armed_at is None:
             self._armed_at = (start_tick + 1) * dt - dt
+        if self._drawing():
+            draws = self.link.rng.stream("wan-ge").uniform(0.0, 1.0, size=ticks)
+            self._draws += ticks
+            if (draws < self._flip_threshold(dt)).any():
+                raise SimulationError(
+                    "a WAN leap crossed a Gilbert–Elliott state flip"
+                )
         self._now = (start_tick + ticks) * dt
 
     def step(self, now: float, dt: float) -> None:
@@ -280,13 +310,41 @@ class WanDriver(Actor):
 
     # -- Gilbert–Elliott chain ---------------------------------------------------------
 
+    def _drawing(self) -> bool:
+        """Whether the chain draws this tick (burst model on, traffic)."""
+        return self.link.burst_enabled and self.link.active_consumers > 0
+
+    def _flip_threshold(self, dt: float) -> float:
+        """A draw below this leaves the current chain state."""
+        mean_s = self.link.mean_bad_s if self._burst else self.link.mean_good_s
+        return min(1.0, dt / mean_s)
+
+    def _first_flip(self, dt: float) -> int:
+        """Draw index of the first draw that may flip the chain: the
+        first flip found in a look-ahead on a copy of the ``wan-ge``
+        bit-generator state, else the first draw past the window.
+
+        Memoized against the draw count (this driver makes every
+        ``wan-ge`` draw), so a re-query between advances costs O(1);
+        only the index is kept, never the draws.
+        """
+        threshold = self._flip_threshold(dt)
+        memo = self._flip_memo
+        if memo is None or memo[:2] != (self._burst, threshold) or memo[2] < self._draws:
+            ahead = self.link.rng.peek_uniform("wan-ge", LOOKAHEAD_DRAWS)
+            flips = np.flatnonzero(ahead < threshold)
+            offset = int(flips[0]) if flips.size else LOOKAHEAD_DRAWS
+            memo = self._flip_memo = (self._burst, threshold, self._draws + offset)
+        return memo[2]
+
     def _step_burst(self, now: float, dt: float) -> None:
         link = self.link
-        if not link.burst_enabled or link.active_consumers == 0:
+        if not self._drawing():
             return
         u = link.rng.uniform("wan-ge", 0.0, 1.0)
+        self._draws += 1
         if self._burst:
-            if u < min(1.0, dt / link.mean_bad_s):
+            if u < self._flip_threshold(dt):
                 self._burst = False
                 link.set_loss_rate(link.good_loss_rate)
                 if link.probe.enabled:
@@ -295,7 +353,7 @@ class WanDriver(Actor):
                         "net.burst_wire_bytes",
                         link.meter.wire_bytes - self._burst_wire_base,
                     )
-        elif u < min(1.0, dt / link.mean_good_s):
+        elif u < self._flip_threshold(dt):
             self._burst = True
             self._burst_wire_base = link.meter.wire_bytes
             link.set_loss_rate(link.bad_loss_rate)
@@ -307,6 +365,19 @@ class WanDriver(Actor):
                     loss_rate=link.loss_rate,
                 )
                 probe.sample("net.loss_rate", now, link.loss_rate)
+
+    # -- checkpoint protocol ------------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        # The look-ahead memo and its draw count are per-process caches.
+        state = dict(self.__dict__)
+        del state["_draws"], state["_flip_memo"]
+        return state
+
+    def restore_state(self, state: dict, version: int) -> None:
+        super().restore_state(state, version)
+        self._draws = 0
+        self._flip_memo = None
 
     def _sample_shape(self, now: float) -> None:
         probe = self.link.probe

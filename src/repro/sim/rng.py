@@ -44,18 +44,33 @@ class SimRng:
         self.seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
+    def _spawn(self, name: str) -> np.random.Generator:
+        """A fresh generator at the start of substream *name*."""
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(_spawn_key(name),))
+        )
+
     def stream(self, name: str) -> np.random.Generator:
         """Return the (memoized) generator for substream *name*."""
         if name not in self._streams:
-            child = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(_spawn_key(name),))
-            )
-            self._streams[name] = child
+            self._streams[name] = self._spawn(name)
         return self._streams[name]
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """One uniform draw from substream *name*."""
         return float(self.stream(name).uniform(low, high))
+
+    def peek_uniform(self, name: str, size: int) -> np.ndarray:
+        """The next *size* ``uniform(0, 1)`` draws of substream *name*,
+        taken on a copy of its state: the stream neither advances nor,
+        if it is not live yet, comes into being (so :meth:`snapshot`
+        is unchanged)."""
+        live = self._streams.get(name)
+        if live is None:
+            return self._spawn(name).uniform(0.0, 1.0, size=size)
+        bits = type(live.bit_generator)()
+        bits.state = live.bit_generator.state
+        return np.random.Generator(bits).uniform(0.0, 1.0, size=size)
 
     # -- checkpoint protocol ---------------------------------------------------------
 
@@ -87,8 +102,6 @@ class SimRng:
         self.seed = int(payload["seed"])
         self._streams = {}
         for name, state in payload["streams"].items():
-            gen = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(_spawn_key(name),))
-            )
+            gen = self._spawn(name)
             gen.bit_generator.state = state
             self._streams[name] = gen

@@ -22,6 +22,8 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: dict[str, object]) -> LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -37,6 +39,33 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up; use a gauge")
         self.value += amount
+
+
+class BoundCounter:
+    """One ``(name, labels)`` counter series, resolved once.
+
+    :meth:`inc` skips the per-call label sort of
+    :meth:`MetricsRegistry.counter`.  The series itself is created at the
+    first :meth:`inc`, not at binding, so a registry's series keep the
+    order in which they were first counted — snapshots and exports do not
+    depend on when a call site bound its handles.
+    """
+
+    __slots__ = ("_registry", "_name", "_labels", "_counter")
+
+    def __init__(self, registry: "MetricsRegistry", name: str, labels: dict) -> None:
+        self._registry = registry
+        self._name = name
+        self._labels = labels
+        self._counter: Counter | None = None
+
+    def inc(self, amount: float = 1.0) -> None:
+        counter = self._counter
+        if counter is None:
+            counter = self._counter = self._registry.counter(self._name, **self._labels)
+        if amount < 0:
+            raise ValueError("counters only go up; use a gauge")
+        counter.value += amount
 
 
 class Gauge:

@@ -284,6 +284,58 @@ def test_checkpointer_journal_lives_outside_archive(tmp_path):
     assert again.journal.offset == 1
 
 
+class _StubClock:
+    """A wall clock that moves only when a test moves it."""
+
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
+class _CostlyController(_EngineController):
+    """A controller whose array capture costs *cost_s* of stub wall."""
+
+    def __init__(self, engine: Engine, clock: _StubClock, cost_s: float) -> None:
+        super().__init__(engine)
+        self.clock = clock
+        self.cost_s = cost_s
+
+    def checkpoint_arrays(self) -> dict:
+        self.clock.t += self.cost_s
+        return {}
+
+
+def test_checkpoint_budget_is_metered_per_session(tmp_path):
+    """Two checkpointers interleaved on one wall clock (two multiplexed
+    sessions) each spend at most their budget of their *own* slices,
+    so together they stay within one budget of the shared wall, not one
+    each.  The meter covers the whole write, array capture included."""
+    clock = _StubClock()
+    sessions = []
+    for name in ("a", "b"):
+        ck = Checkpointer(
+            CheckpointConfig(directory=str(tmp_path / name), every_s=1.0, keep=1),
+            clock=clock,
+        )
+        ctl = _CostlyController(Engine(0.5), clock, cost_s=0.01)
+        ck.arm(ctl)
+        assert ck.wall_spent_s == pytest.approx(0.01)
+        sessions.append((ck, ctl))
+    for _ in range(100):
+        for ck, ctl in sessions:
+            with ck.driving():
+                clock.t += 0.1  # the slice's simulation
+                ctl.engine.clock.advance_ticks(2)  # one cadence write due
+                ck.maybe(ctl)
+    for ck, _ in sessions:
+        assert ck.written > 1 and ck.deferred > 0
+        assert ck.driven_s == pytest.approx(10.0 + ck.wall_spent_s - 0.01)
+        assert ck.wall_spent_s <= 0.03 * ck.driven_s + 0.01
+    assert sum(ck.wall_spent_s for ck, _ in sessions) <= 0.03 * clock.t + 0.02
+
+
 # -- experiment resume (driver level) --------------------------------------------------
 
 

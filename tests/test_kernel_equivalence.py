@@ -365,24 +365,27 @@ def _run_wan(kernel: str, profile: str, seed: int, monkeypatch):
     from repro.net import wan_link
 
     monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+    link = wan_link(profile, seed=seed)
     result, vm = supervised_migrate(
         workload="derby",
-        link=wan_link(profile, seed=seed),
+        link=link,
         seed=seed,
         vm_kwargs={"mem_bytes": MiB(512), "max_young_bytes": MiB(128)},
     )
     all_pfns = np.arange(vm.domain.n_pages, dtype=np.int64)
-    return result, vm.domain.read_pages(all_pfns), vm.analyzer.samples
+    return result, vm.domain.read_pages(all_pfns), vm.analyzer.samples, link.rng.snapshot()
 
 
 @pytest.mark.parametrize("profile", ["metro", "continental"])
 def test_wan_profile_runs_are_bit_identical(profile, monkeypatch):
     """Gilbert–Elliott burst loss, weather shifts and the rescue ladder
     must all replay identically under the leaping kernel: the loss
-    chain freezes while the link is idle and draws per-tick while a
-    migration holds it, in both kernels."""
-    f_result, f_pages, f_samples = _run_wan("fixed", profile, 20150421, monkeypatch)
-    e_result, e_pages, e_samples = _run_wan("event", profile, 20150421, monkeypatch)
+    chain freezes while the link is idle and draws one uniform per tick
+    while a migration holds it — batched inside leaps, so the chain's
+    RNG state ends where the fixed kernel's does."""
+    f_result, f_pages, f_samples, f_rng = _run_wan("fixed", profile, 20150421, monkeypatch)
+    e_result, e_pages, e_samples, e_rng = _run_wan("event", profile, 20150421, monkeypatch)
+    assert f_rng == e_rng
     assert f_result.ok == e_result.ok
     assert f_result.n_attempts == e_result.n_attempts
     assert f_result.rescues == e_result.rescues

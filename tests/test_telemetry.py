@@ -1,6 +1,8 @@
 """The unified telemetry layer: tracer, metrics, probe, exports."""
 
+import gzip
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +22,12 @@ from repro.telemetry import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.telemetry.probe import NULL_COUNTER
 from repro.units import MiB
 
 from tests.conftest import TINY
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- metrics registry ---------------------------------------------------------------
@@ -165,6 +170,28 @@ def test_null_probe_records_nothing():
     assert NULL_PROBE.tracer is None and NULL_PROBE.metrics is None
 
 
+def test_null_probe_counter_is_a_shared_no_op():
+    handle = NULL_PROBE.counter("c", engine="xen")
+    assert handle is NULL_COUNTER
+    assert NULL_PROBE.counter("other") is handle
+    handle.inc(5)
+
+
+def test_bound_counter_creates_its_series_at_first_use():
+    probe = Probe()
+    late = probe.counter("late")
+    probe.count("early", 1)
+    assert probe.metrics.snapshot().get("late") is None
+    late.inc(2)
+    late.inc(3)
+    probe.count("late", 1)
+    snap = probe.metrics.snapshot()
+    assert [sv.name for sv in snap.series.values()] == ["early", "late"]
+    assert snap.value("late") == 6.0
+    with pytest.raises(ValueError):
+        late.inc(-1)
+
+
 def test_probe_routes_to_tracer_and_metrics():
     probe = Probe()
     span = probe.begin("s", 0.0, track="t")
@@ -175,6 +202,28 @@ def test_probe_routes_to_tracer_and_metrics():
 
 
 # -- JSONL export -------------------------------------------------------------------
+
+
+def test_wan_telemetry_export_matches_golden_bytes(tmp_path):
+    """A supervised WAN run's metrics snapshot and JSONL export are
+    byte-identical to the stored golden copies: series order, label
+    sets and values cannot drift when call sites change how they reach
+    their counters (e.g. bound handles instead of ``Probe.count``)."""
+    from repro.net import wan_link
+
+    result, vm = supervised_migrate(
+        workload="derby", engine_name="xen", link=wan_link("metro"),
+        kernel="event", telemetry=True,
+        vm_kwargs={"mem_bytes": MiB(512), "max_young_bytes": MiB(128)},
+    )
+    assert result.ok
+    snapshot = json.dumps(vm.probe.metrics.snapshot().to_dict(), indent=1) + "\n"
+    assert snapshot == (GOLDEN / "wan_metro_metrics.json").read_text()
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, probe=vm.probe)
+    with gzip.open(GOLDEN / "wan_metro_telemetry.jsonl.gz", "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
 
 
 def test_jsonl_round_trip(tmp_path):
